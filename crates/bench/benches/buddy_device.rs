@@ -39,11 +39,11 @@ fn bench_device(c: &mut Criterion) {
                     device_capacity: 4 << 20,
                     carve_out_factor: 3,
                 });
+                let io = dev.handle();
                 let alloc = dev.alloc("bench", 4096, t).expect("allocation fits");
                 let mut i = 0u64;
                 b.iter(|| {
-                    let entry = mixed_entry(i);
-                    dev.write_entry(alloc, i % 4096, &entry)
+                    io.write_entries(alloc, i % 4096, &[mixed_entry(i)])
                         .expect("write succeeds");
                     i += 1;
                 })
@@ -57,16 +57,17 @@ fn bench_device(c: &mut Criterion) {
                     device_capacity: 4 << 20,
                     carve_out_factor: 3,
                 });
+                let io = dev.handle();
                 let alloc = dev.alloc("bench", 4096, t).expect("allocation fits");
-                for i in 0..4096u64 {
-                    dev.write_entry(alloc, i, &mixed_entry(i))
-                        .expect("write succeeds");
-                }
+                let image: Vec<[u8; ENTRY_BYTES]> = (0..4096u64).map(mixed_entry).collect();
+                io.write_entries(alloc, 0, &image).expect("write succeeds");
                 let mut i = 0u64;
+                let mut out = [[0u8; ENTRY_BYTES]];
                 b.iter(|| {
-                    let entry = dev.read_entry(alloc, i % 4096).expect("read succeeds");
+                    io.read_entries(alloc, i % 4096, &mut out)
+                        .expect("read succeeds");
                     i += 1;
-                    entry
+                    out[0][0]
                 })
             },
         );
@@ -74,8 +75,9 @@ fn bench_device(c: &mut Criterion) {
     group.finish();
 }
 
-/// Batched `write_entries`/`read_entries` against per-entry loops: one
-/// iteration moves a whole 256-entry chunk, so throughput is comparable.
+/// Batched `write_entries`/`read_entries` against loops of one-entry
+/// batches: one iteration moves a whole 256-entry chunk, so throughput is
+/// comparable.
 fn bench_batched(c: &mut Criterion) {
     const CHUNK: usize = 256;
     let mut group = c.benchmark_group("buddy-device-batched");
@@ -88,10 +90,12 @@ fn bench_batched(c: &mut Criterion) {
             device_capacity: 4 << 20,
             carve_out_factor: 3,
         });
+        let io = dev.handle();
         let alloc = dev.alloc("bench", CHUNK as u64, target).expect("fits");
         b.iter(|| {
-            for (i, e) in entries.iter().enumerate() {
-                dev.write_entry(alloc, i as u64, e).expect("write succeeds");
+            for (i, e) in entries.chunks(1).enumerate() {
+                io.write_entries(alloc, i as u64, e)
+                    .expect("write succeeds");
             }
         })
     });
@@ -100,9 +104,10 @@ fn bench_batched(c: &mut Criterion) {
             device_capacity: 4 << 20,
             carve_out_factor: 3,
         });
+        let io = dev.handle();
         let alloc = dev.alloc("bench", CHUNK as u64, target).expect("fits");
         b.iter(|| {
-            dev.write_entries(alloc, 0, &entries)
+            io.write_entries(alloc, 0, &entries)
                 .expect("write succeeds")
         })
     });
@@ -111,12 +116,15 @@ fn bench_batched(c: &mut Criterion) {
             device_capacity: 4 << 20,
             carve_out_factor: 3,
         });
+        let io = dev.handle();
         let alloc = dev.alloc("bench", CHUNK as u64, target).expect("fits");
-        dev.write_entries(alloc, 0, &entries).expect("seed data");
+        io.write_entries(alloc, 0, &entries).expect("seed data");
+        let mut out = [[0u8; ENTRY_BYTES]];
         b.iter(|| {
             let mut acc = 0u8;
             for i in 0..CHUNK as u64 {
-                acc ^= dev.read_entry(alloc, i).expect("read succeeds")[0];
+                io.read_entries(alloc, i, &mut out).expect("read succeeds");
+                acc ^= out[0][0];
             }
             acc
         })
@@ -126,11 +134,12 @@ fn bench_batched(c: &mut Criterion) {
             device_capacity: 4 << 20,
             carve_out_factor: 3,
         });
+        let io = dev.handle();
         let alloc = dev.alloc("bench", CHUNK as u64, target).expect("fits");
-        dev.write_entries(alloc, 0, &entries).expect("seed data");
+        io.write_entries(alloc, 0, &entries).expect("seed data");
         let mut out = vec![[0u8; ENTRY_BYTES]; CHUNK];
         b.iter(|| {
-            dev.read_entries(alloc, 0, &mut out).expect("read succeeds");
+            io.read_entries(alloc, 0, &mut out).expect("read succeeds");
             out[0][0]
         })
     });
@@ -153,11 +162,11 @@ fn bench_codecs(c: &mut Criterion) {
                     },
                     codec,
                 );
+                let io = dev.handle();
                 let alloc = dev.alloc("bench", 4096, TargetRatio::R2).expect("fits");
                 let mut i = 0u64;
                 b.iter(|| {
-                    let entry = mixed_entry(i);
-                    dev.write_entry(alloc, i % 4096, &entry)
+                    io.write_entries(alloc, i % 4096, &[mixed_entry(i)])
                         .expect("write succeeds");
                     i += 1;
                 })

@@ -1,15 +1,13 @@
 //! Criterion micro-benchmarks for the compression algorithms: single-entry
-//! compress/decompress throughput across data regimes, plus a head-to-head
-//! of the allocating [`BlockCompressor::compress`] path against the
-//! zero-allocation [`Codec::compress_into`] path.
+//! compress/decompress throughput across data regimes, through the
+//! zero-allocation [`Codec`] API with one reused [`CompressedBuf`] per run
+//! (the device's hot-path shape).
 //!
 //! These measure the software model, not hardware latency — the paper's
 //! 11-cycle pipeline figure comes from Kim et al.'s RTL; what matters here
-//! is that the harness can characterize memory images quickly, and that the
-//! device's hot path (`compress_into` with a reused buffer) is measurably
-//! cheaper than allocating a fresh `Compressed` per entry.
+//! is that the harness can characterize memory images quickly.
 
-use bpc::{BlockCompressor, Codec, CodecKind, CompressedBuf, ENTRY_BYTES};
+use bpc::{Codec, CodecKind, CompressedBuf, ENTRY_BYTES};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 
 fn entry_of(kind: &str) -> [u8; ENTRY_BYTES] {
@@ -47,38 +45,12 @@ fn bench_compress(c: &mut Criterion) {
         let entry = entry_of(kind);
         for codec in CodecKind::ALL {
             group.bench_with_input(BenchmarkId::new(codec.to_string(), kind), &entry, |b, e| {
-                b.iter(|| codec.compress(e))
+                let mut buf = CompressedBuf::new();
+                b.iter(|| {
+                    codec.compress_into(e, &mut buf);
+                    buf.bits()
+                })
             });
-        }
-    }
-    group.finish();
-}
-
-/// The acceptance benchmark for the zero-allocation API: the same codec and
-/// data, `compress` (one `Vec` per entry) vs `compress_into` (one reused
-/// [`CompressedBuf`] for the whole run).
-fn bench_alloc_vs_into(c: &mut Criterion) {
-    let mut group = c.benchmark_group("alloc-vs-into");
-    group.throughput(Throughput::Bytes(ENTRY_BYTES as u64));
-    for kind in ["ramp", "noisy", "random"] {
-        let entry = entry_of(kind);
-        for codec in CodecKind::ALL {
-            group.bench_with_input(
-                BenchmarkId::new(format!("{codec}-alloc"), kind),
-                &entry,
-                |b, e| b.iter(|| codec.compress(e).bits()),
-            );
-            group.bench_with_input(
-                BenchmarkId::new(format!("{codec}-into"), kind),
-                &entry,
-                |b, e| {
-                    let mut buf = CompressedBuf::new();
-                    b.iter(|| {
-                        codec.compress_into(e, &mut buf);
-                        buf.bits()
-                    })
-                },
-            );
         }
     }
     group.finish();
@@ -90,7 +62,8 @@ fn bench_decompress(c: &mut Criterion) {
     for kind in ["ramp", "noisy", "random"] {
         let entry = entry_of(kind);
         for codec in CodecKind::ALL {
-            let compressed = codec.compress(&entry);
+            let mut compressed = CompressedBuf::new();
+            codec.compress_into(&entry, &mut compressed);
             group.bench_with_input(
                 BenchmarkId::new(codec.to_string(), kind),
                 &compressed,
@@ -112,6 +85,6 @@ fn bench_decompress(c: &mut Criterion) {
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(30);
-    targets = bench_compress, bench_alloc_vs_into, bench_decompress
+    targets = bench_compress, bench_decompress
 }
 criterion_main!(benches);

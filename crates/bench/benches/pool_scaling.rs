@@ -36,7 +36,6 @@ fn replay_once(shards: usize, clients: usize) {
         retarget_every: 0,
         churn_every: 0,
         read_pct: None,
-        locked_reads: false,
     };
     let report = replay(&pool, AccessProfile::streaming_dl(), &cfg).expect("pool fits clients");
     criterion::black_box(report.entries_per_sec);

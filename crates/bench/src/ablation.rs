@@ -73,6 +73,7 @@ fn device_run(codec: CodecKind, bench: &Benchmark, seed: u64, cap: u64) -> (f64,
         },
         codec,
     );
+    let io = device.handle();
     let mut batch = vec![[0u8; ENTRY_BYTES]; BATCH];
     let mut readback = vec![[0u8; ENTRY_BYTES]; BATCH];
     for (idx, ((spec, entries), choice)) in bench
@@ -92,11 +93,9 @@ fn device_run(codec: CodecKind, bench: &Benchmark, seed: u64, cap: u64) -> (f64,
             for (k, slot) in batch[..len].iter_mut().enumerate() {
                 *slot = spec.entry_at(alloc_seed, start + k as u64, 0.5);
             }
-            device
-                .write_entries(alloc, start, &batch[..len])
+            io.write_entries(alloc, start, &batch[..len])
                 .expect("in-range batch write"); // lint-allow(no-unwrap): batch writes stay within the allocation by construction
-            device
-                .read_entries(alloc, start, &mut readback[..len])
+            io.read_entries(alloc, start, &mut readback[..len])
                 .expect("in-range batch read"); // lint-allow(no-unwrap): reads mirror the writes just issued
             assert_eq!(
                 readback[..len],

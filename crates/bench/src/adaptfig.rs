@@ -113,6 +113,7 @@ fn run_arm(
         },
         codec,
     );
+    let io = dev.handle();
     let ids: Vec<_> = specs
         .iter()
         .zip(initial.iter())
@@ -132,7 +133,7 @@ fn run_arm(
                 for (k, slot) in batch[..len].iter_mut().enumerate() {
                     *slot = spec.entry_at(alloc_seed, start + k as u64, phase);
                 }
-                dev.write_entries(id, start, &batch[..len])
+                io.write_entries(id, start, &batch[..len])
                     .expect("in-range write"); // lint-allow(no-unwrap): writes stay within the allocation by construction
                 start += len as u64;
             }
@@ -157,7 +158,7 @@ fn run_arm(
             let mut start = 0u64;
             while start < entries {
                 let len = ((entries - start) as usize).min(BATCH);
-                dev.read_entries(id, start, &mut sink[..len])
+                io.read_entries(id, start, &mut sink[..len])
                     .expect("in-range read"); // lint-allow(no-unwrap): reads mirror the writes just issued
                 start += len as u64;
             }

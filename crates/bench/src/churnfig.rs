@@ -156,6 +156,7 @@ pub fn run_distribution(label: &'static str, lifetime: Lifetime, cfg: &RunConfig
         },
         cfg.codec,
     );
+    let io = dev.handle();
 
     let ops_per_cycle = live as u64 * 2;
     let total_ops = cycles(cfg.quick) * ops_per_cycle;
@@ -181,7 +182,7 @@ pub fn run_distribution(label: &'static str, lifetime: Lifetime, cfg: &RunConfig
                         for (i, slot) in write_buf[..n].iter_mut().enumerate() {
                             *slot = class.generate(mix(&[cfg.seed, key, i as u64]));
                         }
-                        dev.write_entries(id, 0, &write_buf[..n])
+                        io.write_entries(id, 0, &write_buf[..n])
                             .expect("prefix is in range"); // lint-allow(no-unwrap): the WRITE_PREFIX window is in range for every accepted alloc
                         handles.insert(key, id);
                     }

@@ -29,22 +29,25 @@ const ID_RAW: u64 = 15;
 /// # Example
 ///
 /// ```
-/// use bpc::{BaseDeltaImmediate, BlockCompressor};
+/// use bpc::{BaseDeltaImmediate, Codec, CompressedBuf};
 ///
 /// let codec = BaseDeltaImmediate::new();
 /// let mut entry = [0u8; 128];
 /// for (i, w) in entry.chunks_exact_mut(8).enumerate() {
 ///     w.copy_from_slice(&(0x1000_0000u64 + i as u64).to_le_bytes());
 /// }
-/// let compressed = codec.compress(&entry);
-/// assert!(compressed.bytes() < 64);
-/// assert_eq!(codec.decompress(&compressed).unwrap(), entry);
+/// let mut buf = CompressedBuf::new();
+/// codec.compress_into(&entry, &mut buf);
+/// assert!(buf.bytes() < 64);
+/// let mut restored = [0u8; 128];
+/// codec.decompress_into(buf.data(), buf.bits(), &mut restored).unwrap();
+/// assert_eq!(restored, entry);
 /// ```
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct BaseDeltaImmediate;
 
 impl BaseDeltaImmediate {
-    /// Algorithm name used in [`crate::Compressed::algorithm`].
+    /// Algorithm name reported by [`crate::CompressedBuf::algorithm`].
     pub const NAME: &'static str = "bdi";
 
     /// Creates the codec.
@@ -252,13 +255,10 @@ impl Codec for BaseDeltaImmediate {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{BlockCompressor, Compressed};
+    use crate::{assert_round_trip, decode};
 
     fn round_trip(entry: &Entry) -> usize {
-        let codec = BaseDeltaImmediate::new();
-        let c = codec.compress(entry);
-        assert_eq!(&codec.decompress(&c).unwrap(), entry);
-        c.bits()
+        assert_round_trip(&BaseDeltaImmediate, entry)
     }
 
     #[test]
@@ -334,20 +334,10 @@ mod tests {
     }
 
     #[test]
-    fn wrong_algorithm_rejected() {
-        let c = Compressed::new("bpc", 8, vec![0]);
-        assert!(matches!(
-            BaseDeltaImmediate::new().decompress(&c),
-            Err(DecodeError::WrongAlgorithm { .. })
-        ));
-    }
-
-    #[test]
     fn invalid_scheme_rejected() {
         // Scheme id 9 is unused (2..=7 valid, 0, 1, 15 special).
-        let c = Compressed::new(BaseDeltaImmediate::NAME, 4, vec![0b1001_0000]);
         assert!(matches!(
-            BaseDeltaImmediate::new().decompress(&c),
+            decode(&BaseDeltaImmediate, &[0b1001_0000], 4),
             Err(DecodeError::InvalidCode { .. })
         ));
     }

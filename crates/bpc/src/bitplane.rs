@@ -55,20 +55,23 @@ const DELTA_MASK: u64 = 0x1_FFFF_FFFF;
 /// # Example
 ///
 /// ```
-/// use bpc::{BitPlane, BlockCompressor};
+/// use bpc::{BitPlane, Codec, CompressedBuf};
 ///
 /// let codec = BitPlane::new();
 /// let zeros = [0u8; 128];
-/// let compressed = codec.compress(&zeros);
+/// let mut buf = CompressedBuf::new();
+/// codec.compress_into(&zeros, &mut buf);
 /// // base flag (1) + one run code covering all 33 planes (8) = 9 bits.
-/// assert_eq!(compressed.bits(), 9);
-/// assert_eq!(codec.decompress(&compressed).unwrap(), zeros);
+/// assert_eq!(buf.bits(), 9);
+/// let mut restored = [0xFFu8; 128];
+/// codec.decompress_into(buf.data(), buf.bits(), &mut restored).unwrap();
+/// assert_eq!(restored, zeros);
 /// ```
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct BitPlane;
 
 impl BitPlane {
-    /// Algorithm name used in [`crate::Compressed::algorithm`].
+    /// Algorithm name reported by [`crate::CompressedBuf::algorithm`].
     pub const NAME: &'static str = "bpc";
 
     /// Creates the codec.
@@ -292,7 +295,7 @@ impl Codec for BitPlane {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{BlockCompressor, Compressed};
+    use crate::{assert_round_trip, decode};
 
     fn entry_from_words(mut f: impl FnMut(usize) -> u32) -> Entry {
         let mut symbols = [0u32; SYMBOLS];
@@ -303,10 +306,7 @@ mod tests {
     }
 
     fn round_trip(entry: &Entry) -> usize {
-        let codec = BitPlane::new();
-        let c = codec.compress(entry);
-        assert_eq!(&codec.decompress(&c).unwrap(), entry, "round-trip mismatch");
-        c.bits()
+        assert_round_trip(&BitPlane, entry)
     }
 
     #[test]
@@ -384,22 +384,12 @@ mod tests {
     }
 
     #[test]
-    fn wrong_algorithm_is_rejected() {
-        let c = Compressed::new("other", 8, vec![0xFF]);
-        assert!(matches!(
-            BitPlane::new().decompress(&c),
-            Err(DecodeError::WrongAlgorithm { .. })
-        ));
-    }
-
-    #[test]
     fn truncated_stream_is_rejected() {
-        let codec = BitPlane::new();
         let entry = entry_from_words(|i| i as u32 * 977);
-        let c = codec.compress(&entry);
-        let truncated = Compressed::new(BitPlane::NAME, c.bits() / 2, c.data().to_vec());
+        let mut buf = CompressedBuf::new();
+        BitPlane.compress_into(&entry, &mut buf);
         assert!(matches!(
-            codec.decompress(&truncated),
+            decode(&BitPlane, buf.data(), buf.bits() / 2),
             Err(DecodeError::Truncated)
         ));
     }

@@ -9,20 +9,10 @@
 //! the compressor as a swappable pipeline stage the same way (e.g. the
 //! Compressing DMA Engine of Rhu et al., MICRO 2017).
 //!
-//! # The two compression paths
-//!
-//! * **Allocating** — [`BlockCompressor::compress`] returns an owned
-//!   [`Compressed`] block. Convenient for one-off use; costs one `Vec`
-//!   allocation per entry.
-//! * **Zero-allocation** — [`Codec::compress_into`] encodes into a
-//!   caller-owned [`CompressedBuf`]. After the first call the buffer's
-//!   capacity is reused, so hot loops (the device write path, the snapshot
-//!   samplers, the figure harnesses) compress millions of entries without
-//!   touching the heap.
-//!
-//! [`BlockCompressor`] is kept as a compatibility shim: every [`Codec`]
-//! implements it automatically (see the blanket impl), so existing
-//! `compress`/`decompress` call sites keep working unchanged.
+//! [`Codec::compress_into`] encodes into a caller-owned [`CompressedBuf`].
+//! After the first call the buffer's capacity is reused, so hot loops (the
+//! device write path, the snapshot samplers, the figure harnesses)
+//! compress millions of entries without touching the heap.
 //!
 //! # Example
 //!
@@ -45,16 +35,14 @@
 
 use crate::bits::BitWriter;
 use crate::{
-    BaseDeltaImmediate, BitPlane, BlockCompressor, Compressed, DecodeError, Entry, FrequentPattern,
-    SizeClass, ZeroRle, ENTRY_BYTES,
+    BaseDeltaImmediate, BitPlane, DecodeError, Entry, FrequentPattern, SizeClass, ZeroRle,
 };
 use std::fmt;
 
 /// A reusable buffer holding one compressed entry.
 ///
-/// This is the zero-allocation counterpart of [`Compressed`]: the byte
-/// buffer's capacity survives across [`Codec::compress_into`] calls, so a
-/// loop that compresses many entries allocates at most once.
+/// The byte buffer's capacity survives across [`Codec::compress_into`]
+/// calls, so a loop that compresses many entries allocates at most once.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct CompressedBuf {
     algorithm: &'static str,
@@ -69,7 +57,7 @@ impl CompressedBuf {
     }
 
     /// Creates a buffer with room for `bytes` bytes of bitstream, enough to
-    /// avoid any allocation if sized at [`ENTRY_BYTES`] + slack.
+    /// avoid any allocation if sized at [`ENTRY_BYTES`](crate::ENTRY_BYTES) + slack.
     pub fn with_capacity(bytes: usize) -> Self {
         Self {
             algorithm: "",
@@ -138,24 +126,11 @@ impl CompressedBuf {
         self.bits = bits;
         self.data = data;
     }
-
-    /// Copies the held bitstream into an owned [`Compressed`] block.
-    pub fn to_compressed(&self) -> Compressed {
-        Compressed::new(self.algorithm, self.bits, self.data.clone())
-    }
-
-    /// Converts the buffer into an owned [`Compressed`] block without
-    /// copying the bitstream.
-    pub fn into_compressed(self) -> Compressed {
-        Compressed::new(self.algorithm, self.bits, self.data)
-    }
 }
 
 /// An object-safe, allocation-free lossless compressor for 128-byte
 /// memory-entries.
 ///
-/// This is the primary compression interface; [`BlockCompressor`] is a
-/// compatibility shim implemented for every `Codec` via a blanket impl.
 /// Implementations must satisfy the round-trip law: for every entry `e` and
 /// buffer `b`, `compress_into(&e, &mut b)` followed by
 /// `decompress_into(b.data(), b.bits(), &mut out)` must succeed with
@@ -185,9 +160,9 @@ pub trait Codec: Sync {
     ///
     /// `bits` bounds how many bits of `data` are valid; decoders may read
     /// fewer (trailing padding, e.g. from sector-aligned storage, is
-    /// ignored). Unlike [`BlockCompressor::decompress`], no algorithm tag
-    /// is checked: the caller owns the association between stored streams
-    /// and the codec that wrote them, as `BuddyDevice` does.
+    /// ignored). No algorithm tag is checked: the caller owns the
+    /// association between stored streams and the codec that wrote them,
+    /// as `BuddyDevice` does.
     ///
     /// # Errors
     ///
@@ -208,33 +183,6 @@ pub trait Codec: Sync {
             self.compress_into(entry, scratch);
             scratch.size_class()
         }
-    }
-}
-
-/// Every [`Codec`] is a [`BlockCompressor`]: the legacy allocating API is a
-/// thin shim over the zero-allocation one, so code written against
-/// `BlockCompressor` (and trait objects, via `?Sized`) keeps working.
-impl<C: Codec + ?Sized> BlockCompressor for C {
-    fn name(&self) -> &'static str {
-        Codec::name(self)
-    }
-
-    fn compress(&self, entry: &Entry) -> Compressed {
-        let mut buf = CompressedBuf::new();
-        self.compress_into(entry, &mut buf);
-        buf.into_compressed()
-    }
-
-    fn decompress(&self, compressed: &Compressed) -> Result<Entry, DecodeError> {
-        if compressed.algorithm() != Codec::name(self) {
-            return Err(DecodeError::WrongAlgorithm {
-                found: compressed.algorithm(),
-                expected: Codec::name(self),
-            });
-        }
-        let mut entry = [0u8; ENTRY_BYTES];
-        self.decompress_into(compressed.data(), compressed.bits(), &mut entry)?;
-        Ok(entry)
     }
 }
 
@@ -341,6 +289,7 @@ pub fn codec_by_name(name: &str) -> Option<&'static dyn Codec> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ENTRY_BYTES;
 
     /// The trait must stay object-safe: the registry and the device model
     /// both hand out `&dyn Codec`.
@@ -388,21 +337,6 @@ mod tests {
     }
 
     #[test]
-    fn compress_into_matches_allocating_path() {
-        let entry = ramp_entry();
-        let mut buf = CompressedBuf::new();
-        for kind in CodecKind::ALL {
-            kind.compress_into(&entry, &mut buf);
-            let owned = kind.compress(&entry);
-            assert_eq!(buf.bits(), owned.bits(), "{kind}: bit length differs");
-            assert_eq!(buf.data(), owned.data(), "{kind}: bitstream differs");
-            assert_eq!(buf.algorithm(), owned.algorithm());
-            assert_eq!(buf.size_class(), owned.size_class());
-            assert_eq!(buf.sectors(), owned.sectors());
-        }
-    }
-
-    #[test]
     fn buffer_capacity_is_reused() {
         let mut buf = CompressedBuf::new();
         let mut random = [0u8; ENTRY_BYTES];
@@ -447,25 +381,15 @@ mod tests {
             SizeClass::B0
         );
         let entry = ramp_entry();
+        let mut fresh = CompressedBuf::new();
         for kind in CodecKind::ALL {
+            kind.compress_into(&entry, &mut fresh);
             assert_eq!(
                 kind.size_class_into(&entry, &mut buf),
-                kind.size_class_of(&entry),
-                "{kind}: classification paths disagree"
+                SizeClass::for_bits(fresh.bits()),
+                "{kind}: classification disagrees with the encoded size"
             );
         }
-    }
-
-    #[test]
-    fn shim_rejects_wrong_algorithm() {
-        let c = Compressed::new("bdi", 4, vec![0]);
-        assert!(matches!(
-            CodecKind::Bpc.decompress(&c),
-            Err(DecodeError::WrongAlgorithm {
-                found: "bdi",
-                expected: "bpc",
-            })
-        ));
     }
 
     #[test]

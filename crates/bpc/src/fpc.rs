@@ -24,14 +24,17 @@ use crate::{from_symbols, to_symbols, Codec, CompressedBuf, DecodeError, Entry};
 /// # Example
 ///
 /// ```
-/// use bpc::{FrequentPattern, BlockCompressor};
+/// use bpc::{Codec, CompressedBuf, FrequentPattern};
 ///
 /// let codec = FrequentPattern::new();
 /// let entry = [0u8; 128];
-/// let compressed = codec.compress(&entry);
+/// let mut buf = CompressedBuf::new();
+/// codec.compress_into(&entry, &mut buf);
 /// // 32 zero words collapse into 4 zero-run codes of 8 words each.
-/// assert_eq!(compressed.bits(), 4 * 6);
-/// assert_eq!(codec.decompress(&compressed).unwrap(), entry);
+/// assert_eq!(buf.bits(), 4 * 6);
+/// let mut restored = [0xFFu8; 128];
+/// codec.decompress_into(buf.data(), buf.bits(), &mut restored).unwrap();
+/// assert_eq!(restored, entry);
 /// ```
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FrequentPattern;
@@ -43,7 +46,7 @@ fn fits_signed(v: u32, bits: u32) -> bool {
 }
 
 impl FrequentPattern {
-    /// Algorithm name used in [`crate::Compressed::algorithm`].
+    /// Algorithm name reported by [`crate::CompressedBuf::algorithm`].
     pub const NAME: &'static str = "fpc";
 
     /// Creates the codec.
@@ -169,7 +172,7 @@ impl Codec for FrequentPattern {
 mod tests {
     use super::*;
     use crate::bits::BitWriter;
-    use crate::{BlockCompressor, Compressed};
+    use crate::{assert_round_trip, decode};
 
     fn entry_from_words(f: impl Fn(usize) -> u32) -> Entry {
         let mut words = [0u32; 32];
@@ -180,10 +183,7 @@ mod tests {
     }
 
     fn round_trip(entry: &Entry) -> usize {
-        let codec = FrequentPattern::new();
-        let c = codec.compress(entry);
-        assert_eq!(&codec.decompress(&c).unwrap(), entry);
-        c.bits()
+        assert_round_trip(&FrequentPattern, entry)
     }
 
     #[test]
@@ -261,9 +261,8 @@ mod tests {
             w.push_bits(6, 3);
         }
         let (data, bits) = w.into_parts();
-        let c = Compressed::new(FrequentPattern::NAME, bits, data);
         assert!(matches!(
-            FrequentPattern::new().decompress(&c),
+            decode(&FrequentPattern, &data, bits),
             Err(DecodeError::InvalidCode { .. })
         ));
     }

@@ -14,17 +14,20 @@ use crate::{Codec, CompressedBuf, DecodeError, Entry, ENTRY_BYTES};
 /// # Example
 ///
 /// ```
-/// use bpc::{ZeroRle, BlockCompressor};
+/// use bpc::{Codec, CompressedBuf, ZeroRle};
 ///
 /// let codec = ZeroRle::new();
-/// assert_eq!(codec.compress(&[0u8; 128]).bits(), 1);
-/// assert_eq!(codec.compress(&[1u8; 128]).bits(), 1 + 1024);
+/// let mut buf = CompressedBuf::new();
+/// codec.compress_into(&[0u8; 128], &mut buf);
+/// assert_eq!(buf.bits(), 1);
+/// codec.compress_into(&[1u8; 128], &mut buf);
+/// assert_eq!(buf.bits(), 1 + 1024);
 /// ```
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ZeroRle;
 
 impl ZeroRle {
-    /// Algorithm name used in [`crate::Compressed::algorithm`].
+    /// Algorithm name reported by [`crate::CompressedBuf::algorithm`].
     pub const NAME: &'static str = "zero";
 
     /// Creates the codec.
@@ -71,40 +74,24 @@ impl Codec for ZeroRle {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{BlockCompressor, Compressed};
+    use crate::{assert_round_trip, decode};
 
     #[test]
     fn zero_round_trip() {
-        let codec = ZeroRle::new();
-        let c = codec.compress(&[0u8; 128]);
-        assert_eq!(c.bits(), 1);
-        assert_eq!(codec.decompress(&c).unwrap(), [0u8; 128]);
+        assert_eq!(assert_round_trip(&ZeroRle, &[0u8; 128]), 1);
     }
 
     #[test]
     fn nonzero_round_trip() {
-        let codec = ZeroRle::new();
         let mut entry = [0u8; 128];
         entry[127] = 1;
-        let c = codec.compress(&entry);
-        assert_eq!(c.bits(), 1025);
-        assert_eq!(codec.decompress(&c).unwrap(), entry);
-    }
-
-    #[test]
-    fn wrong_algorithm_rejected() {
-        let c = Compressed::new("bpc", 1, vec![0]);
-        assert!(matches!(
-            ZeroRle::new().decompress(&c),
-            Err(DecodeError::WrongAlgorithm { .. })
-        ));
+        assert_eq!(assert_round_trip(&ZeroRle, &entry), 1025);
     }
 
     #[test]
     fn truncated_rejected() {
-        let c = Compressed::new(ZeroRle::NAME, 0, vec![]);
         assert!(matches!(
-            ZeroRle::new().decompress(&c),
+            decode(&ZeroRle, &[], 0),
             Err(DecodeError::Truncated)
         ));
     }

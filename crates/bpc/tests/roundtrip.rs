@@ -7,17 +7,30 @@
 //! boundary patterns.
 
 use bpc::{
-    BaseDeltaImmediate, BitPlane, BlockCompressor, Compressed, FrequentPattern, SizeClass, ZeroRle,
+    BaseDeltaImmediate, BitPlane, Codec, CompressedBuf, FrequentPattern, SizeClass, ZeroRle,
     ENTRY_BYTES,
 };
 use proptest::prelude::*;
 
-fn assert_round_trip<C: BlockCompressor>(codec: &C, entry: &[u8; ENTRY_BYTES]) {
-    let compressed = codec.compress(entry);
-    let restored = codec
-        .decompress(&compressed)
+fn compress(codec: &dyn Codec, entry: &[u8; ENTRY_BYTES]) -> CompressedBuf {
+    let mut buf = CompressedBuf::new();
+    codec.compress_into(entry, &mut buf);
+    buf
+}
+
+fn assert_round_trip(codec: &dyn Codec, entry: &[u8; ENTRY_BYTES]) {
+    let compressed = compress(codec, entry);
+    let mut restored = [0u8; ENTRY_BYTES];
+    codec
+        .decompress_into(compressed.data(), compressed.bits(), &mut restored)
         .unwrap_or_else(|e| panic!("{} failed to decode its own output: {e}", codec.name()));
     assert_eq!(&restored, entry, "{} round-trip mismatch", codec.name());
+}
+
+/// Decodes an arbitrary stream; only the absence of a panic matters.
+fn decode_garbage(codec: &dyn Codec, data: &[u8], bits: usize) {
+    let mut out = [0u8; ENTRY_BYTES];
+    let _ = codec.decompress_into(data, bits, &mut out);
 }
 
 fn entry_strategy() -> impl Strategy<Value = [u8; ENTRY_BYTES]> {
@@ -102,8 +115,7 @@ macro_rules! round_trip_suite {
 
                 #[test]
                 fn size_class_is_monotone_bound(entry in entry_strategy()) {
-                    let codec = $codec;
-                    let compressed = codec.compress(&entry);
+                    let compressed = compress(&$codec, &entry);
                     let class = compressed.size_class();
                     // The class always holds the payload...
                     prop_assert!(class.bytes() * 8 >= compressed.bits() || class == SizeClass::B128);
@@ -127,20 +139,17 @@ proptest! {
     /// or report a structured error.
     #[test]
     fn bpc_decoder_total_on_garbage(data in proptest::collection::vec(any::<u8>(), 0..160), bits in 0usize..1300) {
-        let c = Compressed::new("bpc", bits.min(data.len() * 8), data);
-        let _ = BitPlane::new().decompress(&c);
+        decode_garbage(&BitPlane, &data, bits.min(data.len() * 8));
     }
 
     #[test]
     fn bdi_decoder_total_on_garbage(data in proptest::collection::vec(any::<u8>(), 0..160), bits in 0usize..1300) {
-        let c = Compressed::new("bdi", bits.min(data.len() * 8), data);
-        let _ = BaseDeltaImmediate::new().decompress(&c);
+        decode_garbage(&BaseDeltaImmediate, &data, bits.min(data.len() * 8));
     }
 
     #[test]
     fn fpc_decoder_total_on_garbage(data in proptest::collection::vec(any::<u8>(), 0..160), bits in 0usize..1300) {
-        let c = Compressed::new("fpc", bits.min(data.len() * 8), data);
-        let _ = FrequentPattern::new().decompress(&c);
+        decode_garbage(&FrequentPattern, &data, bits.min(data.len() * 8));
     }
 
     /// BPC never reports fewer than 9 bits (base flag + minimal plane code)
@@ -151,8 +160,8 @@ proptest! {
         for (i, chunk) in entry.chunks_exact_mut(4).enumerate() {
             chunk.copy_from_slice(&start.wrapping_add(step * i as u32).to_le_bytes());
         }
-        let bpc_bits = BitPlane::new().compress(&entry).bits();
-        let fpc_bits = FrequentPattern::new().compress(&entry).bits();
+        let bpc_bits = compress(&BitPlane, &entry).bits();
+        let fpc_bits = compress(&FrequentPattern, &entry).bits();
         prop_assert!(bpc_bits >= 9);
         prop_assert!(bpc_bits <= fpc_bits,
             "BPC ({bpc_bits}) should beat FPC ({fpc_bits}) on ramps");

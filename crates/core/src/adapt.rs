@@ -389,6 +389,7 @@ mod tests {
             device_capacity: 1 << 20,
             carve_out_factor: 3,
         });
+        let io = dev.handle();
         let a = dev.alloc("steady", 256, TargetRatio::R1).unwrap();
         let policy = RetargetPolicy::new(AdaptConfig::default());
         let mut current = TargetRatio::R1;
@@ -411,7 +412,7 @@ mod tests {
                         c.copy_from_slice(&w.to_le_bytes());
                     }
                 }
-                dev.write_entry(a, i, &e).unwrap();
+                io.write_entries(a, i, std::slice::from_ref(&e)).unwrap();
             }
             let window = dev.state_window(a).unwrap();
             if let Some(next) = policy.recommend(current, &window) {

@@ -198,7 +198,7 @@ impl AccessStats {
             + self.writes_with_buddy
     }
 
-    /// The counters in a fixed field order, for the shared atomic mirror.
+    /// The counters in a fixed field order, for [`SharedStats`](crate::SharedStats).
     pub(crate) fn to_array(self) -> [u64; 8] {
         [
             self.reads_device_only,
@@ -317,25 +317,22 @@ impl Default for DeviceConfig {
 ///
 /// let config = DeviceConfig { device_capacity: 1 << 20, carve_out_factor: 3 };
 /// let mut dev = BuddyDevice::with_codec(config, CodecKind::Bdi);
+/// let io = dev.handle();
 /// let alloc = dev.alloc("tensor", 1024, TargetRatio::R2)?;
 /// let entry = [7u8; 128];
-/// dev.write_entries(alloc, 0, &[entry, entry])?;
+/// io.write_entries(alloc, 0, &[entry, entry])?;
 /// let mut out = [[0u8; 128]; 2];
-/// dev.read_entries(alloc, 0, &mut out)?;
+/// io.read_entries(alloc, 0, &mut out)?;
 /// assert_eq!(out, [entry, entry]);
 /// # Ok::<(), buddy_core::DeviceError>(())
 /// ```
 #[derive(Debug)]
 pub struct BuddyDevice {
-    /// Reusable compression scratch: the write paths encode into this, so
-    /// steady-state entry writes perform no heap allocation.
-    scratch: CompressedBuf,
     config: DeviceConfig,
     /// The epoch-published half: storage bytes, metadata nibbles and the
     /// per-slot addressing seqlocks, shared with every [`DeviceHandle`].
-    /// The `&mut self` paths and the lock-free handle paths run the same
-    /// engine against this state, so the two are equivalent by
-    /// construction.
+    /// Entry I/O runs only through handles against this state; the
+    /// `&mut self` structural paths publish into it.
     shared: Arc<SharedState>,
     gbbr: Gbbr,
     /// Allocation slot map; freed slots are recycled through `free_slots`
@@ -414,7 +411,6 @@ impl BuddyDevice {
             .expect("device_capacity x carve_out_factor overflows u64"); // lint-allow(no-unwrap): the overflow check is this constructor's documented panic contract
         let metadata_entries = config.device_capacity / 8; // worst case: 16x entries
         Self {
-            scratch: CompressedBuf::with_capacity(ENTRY_BYTES + ENTRY_BYTES / 4),
             config,
             shared: Arc::new(SharedState::new(
                 codec,
@@ -756,123 +752,6 @@ impl BuddyDevice {
         Ok((&a.name, a.view.target, a.view.entries))
     }
 
-    /// Writes one 128 B entry, compressing it and updating only this entry's
-    /// device bytes, buddy slot and metadata nibble.
-    ///
-    /// Returns the [`EntryState`] recorded in metadata.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DeviceError::BadAllocation`] / [`DeviceError::BadIndex`]
-    /// for invalid handles.
-    pub fn write_entry(
-        &mut self,
-        id: AllocId,
-        index: u64,
-        entry: &Entry,
-    ) -> Result<EntryState, DeviceError> {
-        self.shared
-            .write_single(id, index, entry, &mut self.scratch)
-    }
-
-    /// Writes a contiguous run of entries starting at `start`, reusing one
-    /// compression buffer across the whole batch and folding the traffic
-    /// counters in with a single stats update.
-    ///
-    /// Semantically identical to calling [`write_entry`](Self::write_entry)
-    /// per element, but without the per-call bookkeeping — the figure
-    /// harnesses push millions of entries through this path.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DeviceError::BadAllocation`] / [`DeviceError::BadIndex`]
-    /// (the latter if the run extends past the allocation); on error no
-    /// entry is written.
-    pub fn write_entries(
-        &mut self,
-        id: AllocId,
-        start: u64,
-        entries: &[Entry],
-    ) -> Result<(), DeviceError> {
-        self.write_entries_collect(id, start, entries).map(|_| ())
-    }
-
-    /// [`write_entries`](Self::write_entries), additionally returning the
-    /// traffic this batch generated (the same delta that is merged into the
-    /// device-wide [`stats`](Self::stats)).
-    ///
-    /// The multi-tenant service layer uses the returned delta for per-tenant
-    /// accounting: the batch already computes it locally, so attribution
-    /// costs nothing extra on the hot path.
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`write_entries`](Self::write_entries).
-    pub fn write_entries_collect(
-        &mut self,
-        id: AllocId,
-        start: u64,
-        entries: &[Entry],
-    ) -> Result<AccessStats, DeviceError> {
-        let stats = self
-            .shared
-            .write_batch(id, start, entries, &mut self.scratch)?;
-        // Entry writes must never move reservations — the design's fixed
-        // buddy-offset invariant — so the mirror needs no update, only a
-        // revalidation.
-        #[cfg(feature = "audit")]
-        self.audit_check();
-        Ok(stats)
-    }
-
-    /// Reads one 128 B entry, decompressing from device and (if the entry
-    /// overflowed its target) buddy memory.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DeviceError::BadAllocation`] / [`DeviceError::BadIndex`]
-    /// for invalid handles.
-    pub fn read_entry(&mut self, id: AllocId, index: u64) -> Result<Entry, DeviceError> {
-        let mut out = [0u8; ENTRY_BYTES];
-        self.shared
-            .read_batch(id, index, std::slice::from_mut(&mut out))?;
-        Ok(out)
-    }
-
-    /// Reads a contiguous run of entries starting at `start` into `out`,
-    /// folding the traffic counters in with a single stats update.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DeviceError::BadAllocation`] / [`DeviceError::BadIndex`]
-    /// (the latter if the run extends past the allocation); on error `out`
-    /// is untouched.
-    pub fn read_entries(
-        &mut self,
-        id: AllocId,
-        start: u64,
-        out: &mut [Entry],
-    ) -> Result<(), DeviceError> {
-        self.read_entries_collect(id, start, out).map(|_| ())
-    }
-
-    /// [`read_entries`](Self::read_entries), additionally returning the
-    /// traffic this batch generated (the same delta that is merged into the
-    /// device-wide [`stats`](Self::stats)). See
-    /// [`write_entries_collect`](Self::write_entries_collect).
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`read_entries`](Self::read_entries).
-    pub fn read_entries_collect(
-        &mut self,
-        id: AllocId,
-        start: u64,
-        out: &mut [Entry],
-    ) -> Result<AccessStats, DeviceError> {
-        self.shared.read_batch(id, start, out)
-    }
-
     /// Per-entry state without touching traffic counters (for analysis).
     pub fn entry_state(&self, id: AllocId, index: u64) -> Result<EntryState, DeviceError> {
         self.shared.entry_state(id, index)
@@ -964,6 +843,7 @@ impl BuddyDevice {
         // regions may overlap the old bytes, so the old epoch stops being
         // readable the moment re-encoding starts.
         let published = Arc::clone(&self.shared);
+        let mut scratch = CompressedBuf::new();
         let (moved_sectors, new_view) = published.republish(id.slot, || {
             // 1. Decode the allocation's live contents through the old
             //    layout. (Functional model: the real design would stream
@@ -1000,7 +880,7 @@ impl BuddyDevice {
             // 3. Re-encode every entry under the new target.
             let mut moved_sectors = 0u64;
             for (i, entry) in contents.iter().enumerate() {
-                let state = published.write_one(&new_view, i as u64, entry, &mut self.scratch);
+                let state = published.write_one(&new_view, i as u64, entry, &mut scratch);
                 moved_sectors += shared::device_sectors_of(new_target, state)
                     + shared::buddy_sectors_of(new_target, state);
             }
@@ -1163,31 +1043,19 @@ impl DeviceHandle {
         self.shared.epoch()
     }
 
-    /// Lock-free [`BuddyDevice::read_entry`]: resolves `id` against the
-    /// current published epoch without taking any device-wide lock.
+    /// Reads a contiguous run of entries starting at `start` into `out`,
+    /// decompressing from device and (for entries that overflowed their
+    /// target) buddy memory. Lock-free: the whole batch resolves against
+    /// one consistent epoch (old or new around any racing structural
+    /// operation, never a blend).
     ///
     /// # Errors
     ///
-    /// Returns [`DeviceError::BadAllocation`] / [`DeviceError::BadIndex`]
-    /// for invalid handles; a handle racing a `free` observes
-    /// [`DeviceError::BadAllocation`] once the tombstone epoch publishes.
-    pub fn read_entry(&self, id: AllocId, index: u64) -> Result<Entry, DeviceError> {
-        let _op = self.shared.enter_op();
-        let mut out = [0u8; ENTRY_BYTES];
-        self.shared
-            .read_batch(id, index, std::slice::from_mut(&mut out))?;
-        Ok(out)
-    }
-
-    /// Lock-free [`BuddyDevice::read_entries`]: the whole batch resolves
-    /// against one consistent epoch (old or new around any racing
-    /// structural operation, never a blend).
-    ///
-    /// # Errors
-    ///
-    /// As [`read_entry`](Self::read_entry); on error `out` may hold
-    /// partially-read bytes from an abandoned attempt, but the call
-    /// reports the failure.
+    /// Returns [`DeviceError::BadAllocation`] for an unknown or stale
+    /// handle (a handle racing a `free` observes it once the tombstone
+    /// epoch publishes) and [`DeviceError::BadIndex`] if the run extends
+    /// past the allocation. On error `out` may hold partially-read bytes
+    /// from an abandoned attempt, but the call reports the failure.
     pub fn read_entries(
         &self,
         id: AllocId,
@@ -1199,7 +1067,8 @@ impl DeviceHandle {
 
     /// [`read_entries`](Self::read_entries), additionally returning the
     /// traffic this batch generated (also folded into the shared
-    /// [`BuddyDevice::stats`] counters).
+    /// [`BuddyDevice::stats`] counters). The multi-tenant service uses the
+    /// delta for per-tenant attribution at no extra cost.
     ///
     /// # Errors
     ///
@@ -1214,27 +1083,11 @@ impl DeviceHandle {
         self.shared.read_batch(id, start, out)
     }
 
-    /// [`BuddyDevice::write_entry`] through the handle: serializes on the
-    /// allocation's write lock only — writes to other allocations and all
-    /// reads proceed concurrently.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DeviceError::BadAllocation`] / [`DeviceError::BadIndex`]
-    /// for invalid handles.
-    pub fn write_entry(
-        &self,
-        id: AllocId,
-        index: u64,
-        entry: &Entry,
-    ) -> Result<EntryState, DeviceError> {
-        let _op = self.shared.enter_op();
-        let mut scratch = CompressedBuf::with_capacity(ENTRY_BYTES + ENTRY_BYTES / 4);
-        self.shared.write_single(id, index, entry, &mut scratch)
-    }
-
-    /// [`BuddyDevice::write_entries`] through the handle (one compression
-    /// buffer per batch; per-allocation write lock, no device-wide lock).
+    /// Writes a contiguous run of entries starting at `start`, compressing
+    /// each and updating only that entry's device bytes, buddy slot and
+    /// metadata nibble. One compression buffer serves the whole batch.
+    /// Serializes on the allocation's write lock only — writes to other
+    /// allocations and all reads proceed concurrently.
     ///
     /// # Errors
     ///
@@ -1302,6 +1155,27 @@ mod tests {
         e
     }
 
+    /// Writes one entry through a handle and returns the state its
+    /// metadata records.
+    fn put(
+        dev: &BuddyDevice,
+        id: AllocId,
+        index: u64,
+        entry: &Entry,
+    ) -> Result<EntryState, DeviceError> {
+        let io = dev.handle();
+        io.write_entries(id, index, std::slice::from_ref(entry))?;
+        io.entry_state(id, index)
+    }
+
+    /// Reads one entry through a handle.
+    fn get(dev: &BuddyDevice, id: AllocId, index: u64) -> Result<Entry, DeviceError> {
+        let mut out = [0u8; ENTRY_BYTES];
+        dev.handle()
+            .read_entries(id, index, std::slice::from_mut(&mut out))?;
+        Ok(out)
+    }
+
     fn small_device() -> BuddyDevice {
         BuddyDevice::new(DeviceConfig {
             device_capacity: 1 << 20,
@@ -1313,9 +1187,9 @@ mod tests {
     fn zero_entries_cost_nothing_to_read() {
         let mut dev = small_device();
         let a = dev.alloc("a", 16, TargetRatio::R2).unwrap();
-        dev.write_entry(a, 3, &[0u8; 128]).unwrap();
+        put(&dev, a, 3, &[0u8; 128]).unwrap();
         dev.reset_stats();
-        assert_eq!(dev.read_entry(a, 3).unwrap(), [0u8; 128]);
+        assert_eq!(get(&dev, a, 3).unwrap(), [0u8; 128]);
         let s = dev.stats();
         assert_eq!(s.device_sectors, 0);
         assert_eq!(s.buddy_sectors, 0);
@@ -1327,10 +1201,10 @@ mod tests {
         let mut dev = small_device();
         let a = dev.alloc("a", 16, TargetRatio::R2).unwrap();
         let entry = entry_of_words(|i| 1000 + i as u32); // ramp → 1 sector
-        let state = dev.write_entry(a, 0, &entry).unwrap();
+        let state = put(&dev, a, 0, &entry).unwrap();
         assert_eq!(state, EntryState::Compressed { sectors: 1 });
         dev.reset_stats();
-        assert_eq!(dev.read_entry(a, 0).unwrap(), entry);
+        assert_eq!(get(&dev, a, 0).unwrap(), entry);
         assert_eq!(dev.stats().buddy_sectors, 0);
     }
 
@@ -1343,10 +1217,10 @@ mod tests {
             state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
             (state >> 32) as u32
         });
-        let st = dev.write_entry(a, 5, &entry).unwrap();
+        let st = put(&dev, a, 5, &entry).unwrap();
         assert_eq!(st, EntryState::Compressed { sectors: 4 });
         dev.reset_stats();
-        assert_eq!(dev.read_entry(a, 5).unwrap(), entry);
+        assert_eq!(get(&dev, a, 5).unwrap(), entry);
         let s = dev.stats();
         assert_eq!(s.device_sectors, 2); // target 2x keeps 2 sectors local
         assert_eq!(s.buddy_sectors, 2); // and 2 come over the link
@@ -1360,7 +1234,7 @@ mod tests {
         let a = dev.alloc("a", 8, TargetRatio::R2).unwrap();
         let ramp = entry_of_words(|i| 7 * i as u32);
         for i in 0..8 {
-            dev.write_entry(a, i, &ramp).unwrap();
+            put(&dev, a, i, &ramp).unwrap();
         }
         // Make entry 4 incompressible; neighbours must read back unchanged.
         let mut x = 99u64;
@@ -1370,10 +1244,10 @@ mod tests {
                 .wrapping_add(0x14057B7EF767814F);
             (x >> 30) as u32
         });
-        dev.write_entry(a, 4, &noisy).unwrap();
+        put(&dev, a, 4, &noisy).unwrap();
         for i in 0..8 {
             let expect = if i == 4 { noisy } else { ramp };
-            assert_eq!(dev.read_entry(a, i).unwrap(), expect, "entry {i}");
+            assert_eq!(get(&dev, a, i).unwrap(), expect, "entry {i}");
         }
     }
 
@@ -1383,11 +1257,8 @@ mod tests {
         let a = dev.alloc("zp", 8, TargetRatio::ZeroPage16).unwrap();
         // Constant entry: 41 bits → 6 bytes → fits the 8 B granule.
         let constant = entry_of_words(|_| 0xABCD_1234);
-        assert_eq!(
-            dev.write_entry(a, 0, &constant).unwrap(),
-            EntryState::ZeroPageFit
-        );
-        assert_eq!(dev.read_entry(a, 0).unwrap(), constant);
+        assert_eq!(put(&dev, a, 0, &constant).unwrap(), EntryState::ZeroPageFit);
+        assert_eq!(get(&dev, a, 0).unwrap(), constant);
         // A ramp costs more than 8 B? No — still tiny. Use noisy data.
         let mut x = 3u64;
         let noisy = entry_of_words(|_| {
@@ -1395,13 +1266,13 @@ mod tests {
             (x >> 24) as u32
         });
         assert_eq!(
-            dev.write_entry(a, 1, &noisy).unwrap(),
+            put(&dev, a, 1, &noisy).unwrap(),
             EntryState::ZeroPageOverflow
         );
-        assert_eq!(dev.read_entry(a, 1).unwrap(), noisy);
+        assert_eq!(get(&dev, a, 1).unwrap(), noisy);
         // Overflow reads are pure buddy traffic.
         dev.reset_stats();
-        dev.read_entry(a, 1).unwrap();
+        get(&dev, a, 1).unwrap();
         assert_eq!(dev.stats().buddy_sectors, 4);
         assert_eq!(dev.stats().device_sectors, 0);
     }
@@ -1491,7 +1362,8 @@ mod tests {
         let mut dev = small_device();
         let a = dev.alloc("a", 4, TargetRatio::R1).unwrap();
         assert!(matches!(
-            dev.read_entry(
+            get(
+                &dev,
                 AllocId {
                     slot: 7,
                     generation: 0
@@ -1501,7 +1373,7 @@ mod tests {
             Err(DeviceError::BadAllocation)
         ));
         assert!(matches!(
-            dev.read_entry(a, 4),
+            get(&dev, a, 4),
             Err(DeviceError::BadIndex {
                 index: 4,
                 entries: 4
@@ -1513,7 +1385,7 @@ mod tests {
     fn fresh_allocation_reads_zero() {
         let mut dev = small_device();
         let a = dev.alloc("a", 4, TargetRatio::R4).unwrap();
-        assert_eq!(dev.read_entry(a, 2).unwrap(), [0u8; 128]);
+        assert_eq!(get(&dev, a, 2).unwrap(), [0u8; 128]);
     }
 
     #[test]
@@ -1550,9 +1422,9 @@ mod tests {
             );
             assert_eq!(dev.codec(), codec);
             let a = dev.alloc("c", 12, TargetRatio::R2).unwrap();
-            dev.write_entries(a, 0, &entries).unwrap();
+            dev.handle().write_entries(a, 0, &entries).unwrap();
             let mut out = vec![[0u8; ENTRY_BYTES]; 12];
-            dev.read_entries(a, 0, &mut out).unwrap();
+            dev.handle().read_entries(a, 0, &mut out).unwrap();
             assert_eq!(out, entries, "{codec}: batched round-trip");
         }
     }
@@ -1575,18 +1447,18 @@ mod tests {
 
         let mut batched = small_device();
         let a = batched.alloc("a", 16, TargetRatio::R2).unwrap();
-        batched.write_entries(a, 0, &entries).unwrap();
+        batched.handle().write_entries(a, 0, &entries).unwrap();
         let mut out = vec![[0u8; ENTRY_BYTES]; 16];
-        batched.read_entries(a, 0, &mut out).unwrap();
+        batched.handle().read_entries(a, 0, &mut out).unwrap();
         assert_eq!(out, entries);
 
         let mut single = small_device();
         let b = single.alloc("a", 16, TargetRatio::R2).unwrap();
         for (i, e) in entries.iter().enumerate() {
-            single.write_entry(b, i as u64, e).unwrap();
+            put(&single, b, i as u64, e).unwrap();
         }
         for i in 0..16u64 {
-            assert_eq!(single.read_entry(b, i).unwrap(), entries[i as usize]);
+            assert_eq!(get(&single, b, i).unwrap(), entries[i as usize]);
         }
         assert_eq!(
             batched.stats(),
@@ -1608,7 +1480,7 @@ mod tests {
                 }
             })
             .collect();
-        dev.write_entries(a, 0, &entries).unwrap();
+        dev.handle().write_entries(a, 0, &entries).unwrap();
         let report = dev.retarget(a, TargetRatio::R4).unwrap();
         assert_eq!(report.old_target, TargetRatio::R2);
         assert_eq!(report.new_target, TargetRatio::R4);
@@ -1619,7 +1491,7 @@ mod tests {
         assert_eq!(dev.device_used(), 32 * 32);
         assert_eq!(dev.buddy_used(), 32 * 96);
         let mut out = vec![[0u8; ENTRY_BYTES]; 32];
-        dev.read_entries(a, 0, &mut out).unwrap();
+        dev.handle().read_entries(a, 0, &mut out).unwrap();
         assert_eq!(out, entries, "migration must preserve every byte");
         let (_, target, _) = dev.allocation_info(a).unwrap();
         assert_eq!(target, TargetRatio::R4);
@@ -1632,7 +1504,8 @@ mod tests {
     fn retarget_to_same_target_is_a_free_noop() {
         let mut dev = small_device();
         let a = dev.alloc("t", 8, TargetRatio::R2).unwrap();
-        dev.write_entries(a, 0, &[entry_of_words(|j| j as u32); 8])
+        dev.handle()
+            .write_entries(a, 0, &[entry_of_words(|j| j as u32); 8])
             .unwrap();
         let before = dev.stats();
         let report = dev.retarget(a, TargetRatio::R2).unwrap();
@@ -1658,14 +1531,14 @@ mod tests {
                 .collect()
         };
         let (da, db, dc) = (data(1000), data(2000), data(3000));
-        dev.write_entries(a, 0, &da).unwrap();
-        dev.write_entries(b, 0, &db).unwrap();
-        dev.write_entries(c, 0, &dc).unwrap();
+        dev.handle().write_entries(a, 0, &da).unwrap();
+        dev.handle().write_entries(b, 0, &db).unwrap();
+        dev.handle().write_entries(c, 0, &dc).unwrap();
         for new_target in [TargetRatio::R1, TargetRatio::ZeroPage16, TargetRatio::R4] {
             dev.retarget(b, new_target).unwrap();
             for (id, expect, name) in [(a, &da, "first"), (b, &db, "middle"), (c, &dc, "last")] {
                 let mut out = vec![[0u8; ENTRY_BYTES]; 16];
-                dev.read_entries(id, 0, &mut out).unwrap();
+                dev.handle().read_entries(id, 0, &mut out).unwrap();
                 assert_eq!(&out, expect, "{name} after middle -> {new_target}");
             }
         }
@@ -1684,7 +1557,7 @@ mod tests {
         });
         let a = dev.alloc("tight", 64, TargetRatio::R2).unwrap();
         let entries: Vec<Entry> = (0..64).map(|i| entry_of_words(|j| i + j as u32)).collect();
-        dev.write_entries(a, 0, &entries).unwrap();
+        dev.handle().write_entries(a, 0, &entries).unwrap();
         let stats_before = dev.stats();
         let err = dev.retarget(a, TargetRatio::R1).unwrap_err();
         assert!(matches!(err, DeviceError::OutOfDeviceMemory { .. }));
@@ -1693,7 +1566,7 @@ mod tests {
         let (_, target, _) = dev.allocation_info(a).unwrap();
         assert_eq!(target, TargetRatio::R2, "target must be unchanged");
         let mut out = vec![[0u8; ENTRY_BYTES]; 64];
-        dev.read_entries(a, 0, &mut out).unwrap();
+        dev.handle().read_entries(a, 0, &mut out).unwrap();
         assert_eq!(out, entries);
 
         // Buddy exhaustion is detected the same way (no carve-out at all).
@@ -1724,8 +1597,7 @@ mod tests {
         let a = dev.alloc("w", 16, TargetRatio::R2).unwrap();
         // 8 zeros (untouched), 4 one-sector ramps, 4 incompressible.
         for i in 0..4u64 {
-            dev.write_entry(a, i, &entry_of_words(|j| 500 + j as u32))
-                .unwrap();
+            put(&dev, a, i, &entry_of_words(|j| 500 + j as u32)).unwrap();
         }
         let mut s = 1u64;
         let noisy = entry_of_words(|_| {
@@ -1733,7 +1605,7 @@ mod tests {
             (s >> 32) as u32
         });
         for i in 4..8u64 {
-            dev.write_entry(a, i, &noisy).unwrap();
+            put(&dev, a, i, &noisy).unwrap();
         }
         let before = dev.stats();
         let window = dev.state_window(a).unwrap();
@@ -1752,7 +1624,7 @@ mod tests {
             .map(|i| dev.alloc(&format!("a{i}"), 64, TargetRatio::R2).unwrap())
             .collect();
         for &id in &ids {
-            dev.write_entry(id, 0, &data).unwrap();
+            put(&dev, id, 0, &data).unwrap();
         }
         assert_eq!(dev.device_used(), 8 * 64 * 64);
         for &id in &ids {
@@ -1768,7 +1640,7 @@ mod tests {
         let big = dev.alloc("big", entries, TargetRatio::R1).unwrap();
         assert_eq!(dev.device_used(), dev.config().device_capacity);
         // Recycled storage reads as zero despite the earlier writes.
-        assert_eq!(dev.read_entry(big, 0).unwrap(), [0u8; ENTRY_BYTES]);
+        assert_eq!(get(&dev, big, 0).unwrap(), [0u8; ENTRY_BYTES]);
     }
 
     #[test]
@@ -1780,9 +1652,9 @@ mod tests {
         // must not alias it.
         let b = dev.alloc("b", 16, TargetRatio::R2).unwrap();
         assert_ne!(a, b, "generation must distinguish reused slots");
-        assert_eq!(dev.read_entry(a, 0), Err(DeviceError::BadAllocation));
+        assert_eq!(get(&dev, a, 0), Err(DeviceError::BadAllocation));
         assert_eq!(
-            dev.write_entry(a, 0, &[1u8; ENTRY_BYTES]),
+            put(&dev, a, 0, &[1u8; ENTRY_BYTES]),
             Err(DeviceError::BadAllocation)
         );
         assert_eq!(
@@ -1792,7 +1664,7 @@ mod tests {
         assert_eq!(dev.state_window(a), Err(DeviceError::BadAllocation));
         assert_eq!(dev.free(a), Err(DeviceError::BadAllocation), "double free");
         // The live handle still works.
-        assert_eq!(dev.read_entry(b, 0).unwrap(), [0u8; ENTRY_BYTES]);
+        assert_eq!(get(&dev, b, 0).unwrap(), [0u8; ENTRY_BYTES]);
         assert_eq!(dev.allocation_ids(), vec![b]);
     }
 
@@ -1802,8 +1674,8 @@ mod tests {
         let first = dev.alloc("tensor", 8, TargetRatio::R2).unwrap();
         let second = dev.alloc("tensor", 8, TargetRatio::R2).unwrap();
         dev.free_by_name("tensor").unwrap();
-        assert_eq!(dev.read_entry(second, 0), Err(DeviceError::BadAllocation));
-        assert!(dev.read_entry(first, 0).is_ok());
+        assert_eq!(get(&dev, second, 0), Err(DeviceError::BadAllocation));
+        assert!(get(&dev, first, 0).is_ok());
         dev.free_by_name("tensor").unwrap();
         assert_eq!(
             dev.free_by_name("tensor"),
@@ -1833,11 +1705,11 @@ mod tests {
         let big = dev.alloc("big", 128, TargetRatio::R2).unwrap();
         assert_eq!(dev.device_used(), dev.config().device_capacity);
         let data = entry_of_words(|j| 5 + j as u32);
-        dev.write_entry(big, 127, &data).unwrap();
-        assert_eq!(dev.read_entry(big, 127).unwrap(), data);
+        put(&dev, big, 127, &data).unwrap();
+        assert_eq!(get(&dev, big, 127).unwrap(), data);
         // Neighbours at the edges were never touched.
-        assert!(dev.read_entry(ids[0], 0).is_ok());
-        assert!(dev.read_entry(ids[3], 0).is_ok());
+        assert!(get(&dev, ids[0], 0).is_ok());
+        assert!(get(&dev, ids[3], 0).is_ok());
     }
 
     #[test]
@@ -1908,11 +1780,11 @@ mod tests {
         let a = dev.alloc("full", 64, TargetRatio::R1).unwrap();
         assert_eq!(dev.device_free(), 0);
         let entries: Vec<Entry> = (0..64).map(|i| entry_of_words(|j| i + j as u32)).collect();
-        dev.write_entries(a, 0, &entries).unwrap();
+        dev.handle().write_entries(a, 0, &entries).unwrap();
         let report = dev.retarget(a, TargetRatio::R2).unwrap();
         assert_eq!(report.device_bytes_delta, -(64 * 64));
         let mut out = vec![[0u8; ENTRY_BYTES]; 64];
-        dev.read_entries(a, 0, &mut out).unwrap();
+        dev.handle().read_entries(a, 0, &mut out).unwrap();
         assert_eq!(out, entries);
         assert_eq!(dev.device_used(), 64 * 64);
     }
@@ -1923,9 +1795,9 @@ mod tests {
         let a = dev.alloc("a", 8, TargetRatio::R2).unwrap();
         let chunk = [[1u8; ENTRY_BYTES]; 4];
         // In-range at the tail is fine; one past is rejected atomically.
-        dev.write_entries(a, 4, &chunk).unwrap();
+        dev.handle().write_entries(a, 4, &chunk).unwrap();
         assert!(matches!(
-            dev.write_entries(a, 5, &chunk),
+            dev.handle().write_entries(a, 5, &chunk),
             Err(DeviceError::BadIndex {
                 index: 8,
                 entries: 8
@@ -1933,11 +1805,11 @@ mod tests {
         ));
         let mut out = [[0u8; ENTRY_BYTES]; 4];
         assert!(matches!(
-            dev.read_entries(a, 6, &mut out),
+            dev.handle().read_entries(a, 6, &mut out),
             Err(DeviceError::BadIndex { .. })
         ));
         // Empty batches are no-ops, even at the end of the allocation.
-        dev.write_entries(a, 8, &[]).unwrap();
-        dev.read_entries(a, 8, &mut []).unwrap();
+        dev.handle().write_entries(a, 8, &[]).unwrap();
+        dev.handle().read_entries(a, 8, &mut []).unwrap();
     }
 }

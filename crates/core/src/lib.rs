@@ -28,9 +28,11 @@
 //! storage (reads return exactly what was written); the companion `gpu-sim`
 //! crate models the performance of the same design. The device is
 //! codec-agnostic — BPC by default, any registered `bpc::CodecKind` via
-//! [`BuddyDevice::with_codec`] — and offers batched
-//! [`BuddyDevice::write_entries`] / [`BuddyDevice::read_entries`] paths
-//! that reuse one compression buffer across a whole run of entries.
+//! [`BuddyDevice::with_codec`]. `BuddyDevice` owns the structural
+//! operations (`alloc`/`free`/`retarget`); entry I/O goes through its
+//! lock-free [`DeviceHandle`], whose batched
+//! [`DeviceHandle::write_entries`] / [`DeviceHandle::read_entries`] reuse
+//! one compression buffer across a whole run of entries.
 //!
 //! # Example: profile, annotate, run
 //!
@@ -80,4 +82,5 @@ pub use profile::{
     ProfileOutcome, TargetChoice,
 };
 pub use region::RegionAllocator;
+pub use shared::SharedStats;
 pub use target::TargetRatio;

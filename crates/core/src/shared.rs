@@ -48,8 +48,9 @@
 
 // lint-allow-file(raw-atomic-metric): every atomic in this module is
 // protocol state (seqlock words, generations, published bases, byte and
-// nibble storage, drain-barrier counters) or the device stats mirror
-// reported through the existing stats() API — none is an ad-hoc metric.
+// nibble storage, drain-barrier counters) or a `SharedStats` traffic
+// accumulator (device stats, per-tenant attribution) — none is an ad-hoc
+// metric.
 
 use crate::adapt::StateWindow;
 use crate::device::{AccessStats, AllocId, DeviceError};
@@ -642,20 +643,37 @@ impl fmt::Debug for SlotTable {
     }
 }
 
-/// Device-wide traffic counters as atomics, so lock-free accesses fold
-/// their per-batch deltas in without `&mut` access to the device.
-pub(crate) struct SharedStats {
+/// An [`AccessStats`] accumulator as atomics, so concurrent I/O paths fold
+/// their per-batch deltas in without `&mut` access: the device-wide
+/// traffic counters and each service tenant's attribution use it.
+///
+/// [`add`](Self::add) is one relaxed `fetch_add` per non-zero field;
+/// totals are exact once writers are quiescent.
+///
+/// ```
+/// use buddy_core::{AccessStats, SharedStats};
+///
+/// let stats = SharedStats::default();
+/// stats.add(&AccessStats { retargets: 1, moved_sectors: 12, ..AccessStats::default() });
+/// assert_eq!(stats.snapshot().moved_sectors, 12);
+/// stats.reset();
+/// assert_eq!(stats.snapshot(), AccessStats::default());
+/// ```
+pub struct SharedStats {
     counters: [AtomicU64; 8],
 }
 
-impl SharedStats {
-    fn new() -> Self {
+impl Default for SharedStats {
+    fn default() -> Self {
         Self {
             counters: std::array::from_fn(|_| AtomicU64::new(0)),
         }
     }
+}
 
-    pub(crate) fn add(&self, delta: &AccessStats) {
+impl SharedStats {
+    /// Adds `delta` field by field, skipping zero fields.
+    pub fn add(&self, delta: &AccessStats) {
         for (c, v) in self.counters.iter().zip(delta.to_array()) {
             if v != 0 {
                 // Relaxed: statistical counters; exact totals are read only
@@ -665,7 +683,8 @@ impl SharedStats {
         }
     }
 
-    pub(crate) fn snapshot(&self) -> AccessStats {
+    /// The current totals.
+    pub fn snapshot(&self) -> AccessStats {
         let mut out = [0u64; 8];
         for (o, c) in out.iter_mut().zip(self.counters.iter()) {
             // Relaxed: statistical snapshot; exact once writers are
@@ -675,7 +694,8 @@ impl SharedStats {
         AccessStats::from_array(out)
     }
 
-    pub(crate) fn reset(&self) {
+    /// Zeroes every counter.
+    pub fn reset(&self) {
         for c in self.counters.iter() {
             // Relaxed: reset happens at quiescent points only.
             c.store(0, Ordering::Relaxed);
@@ -743,7 +763,7 @@ impl SharedState {
             buddy: AtomicBytes::new(buddy_capacity),
             metadata: AtomicNibbles::new(metadata_entries),
             slots: SlotTable::new(),
-            stats: SharedStats::new(),
+            stats: SharedStats::default(),
             epoch: AtomicU64::new(0),
             ops_entered: AtomicU64::new(0),
             ops_exited: AtomicU64::new(0),
@@ -1014,28 +1034,6 @@ impl SharedState {
         Ok(stats)
     }
 
-    /// Writes one entry (see [`write_batch`](Self::write_batch)),
-    /// returning the recorded [`EntryState`].
-    pub(crate) fn write_single(
-        &self,
-        id: AllocId,
-        index: u64,
-        entry: &Entry,
-        scratch: &mut CompressedBuf,
-    ) -> Result<EntryState, DeviceError> {
-        let cell = self.slots.cell(id.slot).ok_or(DeviceError::BadAllocation)?;
-        let _guard = lock_recover(&cell.write_lock);
-        let view = cell.load_raw().validate(id)?;
-        check_index(&view, index)?;
-        let mut stats = AccessStats::default();
-        let window = SeqWindow::open(cell);
-        let state = self.write_one(&view, index, entry, scratch);
-        drop(window);
-        record_write(&mut stats, view.target, state);
-        self.stats.add(&stats);
-        Ok(state)
-    }
-
     /// Per-entry state against a consistent epoch, without touching the
     /// traffic counters.
     pub(crate) fn entry_state(&self, id: AllocId, index: u64) -> Result<EntryState, DeviceError> {
@@ -1145,6 +1143,30 @@ mod tests {
         // The last chunk still covers u32::MAX.
         let (k, _) = SlotTable::locate(u32::MAX);
         assert!(k < SLOT_CHUNKS);
+    }
+
+    #[test]
+    fn record_stats_round_trips() {
+        let stats = SharedStats::default();
+        let delta = AccessStats {
+            reads_device_only: 1,
+            reads_with_buddy: 2,
+            writes_device_only: 3,
+            writes_with_buddy: 4,
+            device_sectors: 5,
+            buddy_sectors: 6,
+            retargets: 7,
+            moved_sectors: 8,
+        };
+        stats.add(&delta);
+        stats.add(&delta);
+        stats.add(&AccessStats::default());
+        let mut twice = AccessStats::default();
+        twice.merge(&delta);
+        twice.merge(&delta);
+        assert_eq!(stats.snapshot(), twice);
+        stats.reset();
+        assert_eq!(stats.snapshot(), AccessStats::default());
     }
 
     #[test]

@@ -18,6 +18,9 @@
 //!    `BadAllocation` on every path forever, even after its slot has been
 //!    recycled by later allocations (generational ids).
 
+mod common;
+use common::{get, put};
+
 use bpc::{CodecKind, ENTRY_BYTES};
 use buddy_core::{AllocId, BuddyDevice, DeviceConfig, DeviceError, TargetRatio};
 use proptest::prelude::*;
@@ -76,9 +79,9 @@ fn occupancy(dev: &BuddyDevice) -> (u64, u64, u64, String) {
 
 /// Asserts that a handle is dead on every path.
 fn assert_stale(dev: &mut BuddyDevice, id: AllocId) {
-    assert_eq!(dev.read_entry(id, 0), Err(DeviceError::BadAllocation));
+    assert_eq!(get(dev, id, 0), Err(DeviceError::BadAllocation));
     assert_eq!(
-        dev.write_entry(id, 0, &[1u8; ENTRY_BYTES]),
+        put(dev, id, 0, &[1u8; ENTRY_BYTES]),
         Err(DeviceError::BadAllocation)
     );
     assert_eq!(
@@ -144,7 +147,7 @@ proptest! {
                     let shadow = &mut live[pick];
                     let index = (b / 7) % shadow.contents.len() as u64;
                     let entry = entry_of_kind(kind, b ^ a);
-                    dev.write_entry(shadow.id, index, &entry).unwrap();
+                    put(&dev, shadow.id, index, &entry).unwrap();
                     shadow.contents[index as usize] = entry;
                 }
                 // Re-target a random live allocation.
@@ -183,7 +186,7 @@ proptest! {
             let id = fresh
                 .alloc(&shadow.name, shadow.contents.len() as u64, shadow.target)
                 .expect("fresh device holds the churned survivors");
-            fresh.write_entries(id, 0, &shadow.contents).unwrap();
+            fresh.handle().write_entries(id, 0, &shadow.contents).unwrap();
             fresh_ids.push(id);
         }
         prop_assert_eq!(dev.allocation_count(), live.len());
@@ -193,7 +196,7 @@ proptest! {
         for (shadow, &fresh_id) in live.iter().zip(fresh_ids.iter()) {
             let n = shadow.contents.len();
             let mut from_churned = vec![[9u8; ENTRY_BYTES]; n];
-            dev.read_entries(shadow.id, 0, &mut from_churned).unwrap();
+            dev.handle().read_entries(shadow.id, 0, &mut from_churned).unwrap();
             prop_assert_eq!(&from_churned, &shadow.contents, "{}: bytes", &shadow.name);
             for i in 0..n as u64 {
                 prop_assert_eq!(
@@ -203,7 +206,7 @@ proptest! {
                 );
             }
             let mut sink = vec![[0u8; ENTRY_BYTES]; n];
-            fresh.read_entries(fresh_id, 0, &mut sink).unwrap();
+            fresh.handle().read_entries(fresh_id, 0, &mut sink).unwrap();
             prop_assert_eq!(
                 dev.state_window(shadow.id).unwrap(),
                 fresh.state_window(fresh_id).unwrap(),
@@ -226,7 +229,7 @@ proptest! {
         let entries = CONFIG.device_capacity / ENTRY_BYTES as u64;
         let big = dev.alloc("big", entries, TargetRatio::R1).unwrap();
         prop_assert_eq!(dev.device_used(), CONFIG.device_capacity);
-        prop_assert_eq!(dev.read_entry(big, entries - 1).unwrap(), [0u8; ENTRY_BYTES]);
+        prop_assert_eq!(get(&dev, big, entries - 1).unwrap(), [0u8; ENTRY_BYTES]);
     }
 
     /// Free-then-realloc into the holes round-trips bytes even when the
@@ -266,9 +269,9 @@ proptest! {
                 entry_of_kind(kind, seed ^ i as u64)
             })
             .collect();
-        dev.write_entries(big, 0, &contents).unwrap();
+        dev.handle().write_entries(big, 0, &contents).unwrap();
         let mut out = vec![[0u8; ENTRY_BYTES]; entries as usize];
-        dev.read_entries(big, 0, &mut out).unwrap();
+        dev.handle().read_entries(big, 0, &mut out).unwrap();
         prop_assert_eq!(out, contents);
     }
 }
@@ -289,8 +292,7 @@ fn n_cycles_of_churn_return_to_empty() {
             let id = dev
                 .alloc(&format!("c{cycle}-{k}"), entries, target)
                 .expect("working set fits");
-            dev.write_entry(id, 0, &[cycle as u8 + 1; ENTRY_BYTES])
-                .unwrap();
+            put(&dev, id, 0, &[cycle as u8 + 1; ENTRY_BYTES]).unwrap();
             ids.push(id);
         }
         // ...frees half of it in creation order, allocates replacements

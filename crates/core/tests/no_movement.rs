@@ -11,6 +11,9 @@
 //! all four registered codecs × all five target ratios, because the device
 //! invariants must hold whichever algorithm backs the data path.
 
+mod common;
+use common::{get, put};
+
 use bpc::{CodecKind, ENTRY_BYTES};
 use buddy_core::{BuddyDevice, DeviceConfig, EntryState, TargetRatio};
 use proptest::prelude::*;
@@ -69,7 +72,7 @@ fn storage_ranges_are_data_independent() {
     let before: Vec<_> = (0..64).map(|i| dev.storage_ranges(a, i).unwrap()).collect();
     // Write wildly different data everywhere.
     for i in 0..64 {
-        dev.write_entry(a, i, &entry_of_kind(i as u8, i)).unwrap();
+        put(&dev, a, i, &entry_of_kind(i as u8, i)).unwrap();
     }
     let after: Vec<_> = (0..64).map(|i| dev.storage_ranges(a, i).unwrap()).collect();
     assert_eq!(before, after, "storage mapping must not depend on data");
@@ -89,21 +92,17 @@ fn compressibility_change_never_disturbs_neighbors() {
             let mut dev = device_with(codec);
             let a = dev.alloc("a", 32, target).unwrap();
             let initial: Vec<Entry> = (0..32).map(|i| entry_of_kind(i as u8, 1000 + i)).collect();
-            dev.write_entries(a, 0, &initial).unwrap();
+            dev.handle().write_entries(a, 0, &initial).unwrap();
             // Cycle entry 7 through every compressibility kind.
             for kind in 0..8u8 {
                 let update = entry_of_kind(kind, 7777 + kind as u64);
-                dev.write_entry(a, 7, &update).unwrap();
+                put(&dev, a, 7, &update).unwrap();
                 for (i, e) in initial.iter().enumerate() {
                     if i == 7 {
-                        assert_eq!(
-                            dev.read_entry(a, 7).unwrap(),
-                            update,
-                            "{codec}/{target}: self"
-                        );
+                        assert_eq!(get(&dev, a, 7).unwrap(), update, "{codec}/{target}: self");
                     } else {
                         assert_eq!(
-                            dev.read_entry(a, i as u64).unwrap(),
+                            get(&dev, a, i as u64).unwrap(),
                             *e,
                             "{codec}/{target}: entry {i}"
                         );
@@ -121,20 +120,18 @@ fn allocations_do_not_interfere() {
     let b = dev.alloc("b", 16, TargetRatio::R2).unwrap();
     let c = dev.alloc("c", 16, TargetRatio::ZeroPage16).unwrap();
     for i in 0..16u64 {
-        dev.write_entry(a, i, &entry_of_kind(i as u8, i)).unwrap();
-        dev.write_entry(b, i, &entry_of_kind((i + 1) as u8, 100 + i))
-            .unwrap();
-        dev.write_entry(c, i, &entry_of_kind((i + 2) as u8, 200 + i))
-            .unwrap();
+        put(&dev, a, i, &entry_of_kind(i as u8, i)).unwrap();
+        put(&dev, b, i, &entry_of_kind((i + 1) as u8, 100 + i)).unwrap();
+        put(&dev, c, i, &entry_of_kind((i + 2) as u8, 200 + i)).unwrap();
     }
     for i in 0..16u64 {
-        assert_eq!(dev.read_entry(a, i).unwrap(), entry_of_kind(i as u8, i));
+        assert_eq!(get(&dev, a, i).unwrap(), entry_of_kind(i as u8, i));
         assert_eq!(
-            dev.read_entry(b, i).unwrap(),
+            get(&dev, b, i).unwrap(),
             entry_of_kind((i + 1) as u8, 100 + i)
         );
         assert_eq!(
-            dev.read_entry(c, i).unwrap(),
+            get(&dev, c, i).unwrap(),
             entry_of_kind((i + 2) as u8, 200 + i)
         );
     }
@@ -147,11 +144,11 @@ fn buddy_fraction_tracks_overflow_rate() {
     // Half the entries compress to one sector, half do not.
     for i in 0..100u64 {
         let kind = if i % 2 == 0 { 1 } else { 3 };
-        dev.write_entry(a, i, &entry_of_kind(kind, i)).unwrap();
+        put(&dev, a, i, &entry_of_kind(kind, i)).unwrap();
     }
     dev.reset_stats();
     for i in 0..100u64 {
-        dev.read_entry(a, i).unwrap();
+        get(&dev, a, i).unwrap();
     }
     let frac = dev.stats().buddy_access_fraction();
     assert!(
@@ -180,17 +177,17 @@ proptest! {
         let mut shadow: Vec<Entry> = vec![[0u8; ENTRY_BYTES]; 24];
         for (idx, kind, seed) in ops {
             let entry = entry_of_kind(kind, seed);
-            dev.write_entry(a, idx, &entry).unwrap();
+            put(&dev, a, idx, &entry).unwrap();
             shadow[idx as usize] = entry;
         }
         for (i, expect) in shadow.iter().enumerate() {
-            prop_assert_eq!(&dev.read_entry(a, i as u64).unwrap(), expect);
+            prop_assert_eq!(&get(&dev, a, i as u64).unwrap(), expect);
         }
     }
 
-    /// The batched paths are equivalent to per-entry I/O under every codec
+    /// Whole batches are equivalent to one-entry batches under every codec
     /// × target: same read-back, same traffic counters, including when
-    /// batches interleave with single-entry rewrites.
+    /// batches interleave with one-entry rewrites.
     #[test]
     fn batched_io_equals_per_entry_io(
         codec_idx in 0usize..4,
@@ -209,20 +206,20 @@ proptest! {
 
         let mut batched = device_with(codec);
         let a = batched.alloc("b", 24, target).unwrap();
-        batched.write_entries(a, start, &batch).unwrap();
+        batched.handle().write_entries(a, start, &batch).unwrap();
         let (ri, rk, rs) = rewrite;
-        batched.write_entry(a, ri, &entry_of_kind(rk, rs)).unwrap();
+        put(&batched, a, ri, &entry_of_kind(rk, rs)).unwrap();
         let mut got = vec![[0u8; ENTRY_BYTES]; 24];
-        batched.read_entries(a, 0, &mut got).unwrap();
+        batched.handle().read_entries(a, 0, &mut got).unwrap();
 
         let mut single = device_with(codec);
         let b = single.alloc("b", 24, target).unwrap();
         for (i, e) in batch.iter().enumerate() {
-            single.write_entry(b, start + i as u64, e).unwrap();
+            put(&single, b, start + i as u64, e).unwrap();
         }
-        single.write_entry(b, ri, &entry_of_kind(rk, rs)).unwrap();
+        put(&single, b, ri, &entry_of_kind(rk, rs)).unwrap();
         for (i, slot) in got.iter().enumerate() {
-            prop_assert_eq!(slot, &single.read_entry(b, i as u64).unwrap(),
+            prop_assert_eq!(slot, &get(&single, b, i as u64).unwrap(),
                 "{}/{}: entry {} diverges between batched and single I/O", codec, target, i);
         }
         prop_assert_eq!(batched.stats(), single.stats());
@@ -244,13 +241,13 @@ proptest! {
         let mut dev = device_with(codec);
         let a = dev.alloc("edge", entries, TargetRatio::R2).unwrap();
         let pattern = entry_of_kind(1, 42);
-        dev.write_entries(a, 0, &vec![pattern; entries as usize]).unwrap();
+        dev.handle().write_entries(a, 0, &vec![pattern; entries as usize]).unwrap();
         let stats_before = dev.stats();
 
         let batch = vec![entry_of_kind(3, 7); len];
         let mut out = vec![[0u8; ENTRY_BYTES]; len];
         let in_range = start.checked_add(len as u64).is_some_and(|end| end <= entries);
-        let write_result = dev.write_entries(a, start, &batch);
+        let write_result = dev.handle().write_entries(a, start, &batch);
         prop_assert_eq!(
             write_result.is_ok(),
             in_range,
@@ -259,19 +256,19 @@ proptest! {
         if !in_range {
             // Failed batch: no stats movement, no data movement.
             prop_assert_eq!(dev.stats(), stats_before);
-            let read_result = dev.read_entries(a, start, &mut out);
+            let read_result = dev.handle().read_entries(a, start, &mut out);
             prop_assert!(read_result.is_err());
             prop_assert_eq!(dev.stats(), stats_before);
             for i in 0..entries {
-                prop_assert_eq!(&dev.read_entry(a, i).unwrap(), &pattern);
+                prop_assert_eq!(&get(&dev, a, i).unwrap(), &pattern);
             }
         } else if len == 0 {
             // Zero-length batches never touch counters, even at the end.
             prop_assert_eq!(dev.stats(), stats_before);
-            dev.read_entries(a, start, &mut out).unwrap();
+            dev.handle().read_entries(a, start, &mut out).unwrap();
             prop_assert_eq!(dev.stats(), stats_before);
         } else {
-            dev.read_entries(a, start, &mut out).unwrap();
+            dev.handle().read_entries(a, start, &mut out).unwrap();
             for slot in &out {
                 prop_assert_eq!(slot, &entry_of_kind(3, 7));
             }
@@ -284,8 +281,8 @@ proptest! {
         let mut dev = device();
         let a = dev.alloc("m", 4, TargetRatio::R2).unwrap();
         let entry = entry_of_kind(kind, seed);
-        let state = dev.write_entry(a, 0, &entry).unwrap();
-        prop_assert_eq!(dev.entry_state(a, 0).unwrap(), state);
+        put(&dev, a, 0, &entry).unwrap();
+        let state = dev.entry_state(a, 0).unwrap();
         match state {
             EntryState::Zero => prop_assert!(entry.iter().all(|&b| b == 0)),
             EntryState::Compressed { sectors } => prop_assert!((1..=4).contains(&sectors)),

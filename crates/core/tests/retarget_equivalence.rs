@@ -16,6 +16,9 @@
 //! migration edge (including the zero-page raw-overflow representation
 //! changes and the no-op diagonal) is exercised on every case.
 
+mod common;
+use common::{get, put};
+
 use bpc::{CodecKind, ENTRY_BYTES};
 use buddy_core::{AllocId, BuddyDevice, DeviceConfig, DeviceError, TargetRatio};
 use proptest::prelude::*;
@@ -87,7 +90,7 @@ proptest! {
                     // Migrated: allocate at the old target, write, migrate.
                     let mut migrated = BuddyDevice::with_codec(CONFIG, codec);
                     let m = migrated.alloc("x", n, old_target).unwrap();
-                    migrated.write_entries(m, 0, &contents).unwrap();
+                    migrated.handle().write_entries(m, 0, &contents).unwrap();
                     let report = migrated.retarget(m, new_target).unwrap();
                     prop_assert_eq!(report.old_target, old_target);
                     prop_assert_eq!(report.new_target, new_target);
@@ -96,38 +99,38 @@ proptest! {
                     // Direct: allocated at the new target from the start.
                     let mut direct = BuddyDevice::with_codec(CONFIG, codec);
                     let d = direct.alloc("x", n, new_target).unwrap();
-                    direct.write_entries(d, 0, &contents).unwrap();
+                    direct.handle().write_entries(d, 0, &contents).unwrap();
 
                     // Untouched: never migrated off the old target.
                     let mut untouched = BuddyDevice::with_codec(CONFIG, codec);
                     let u = untouched.alloc("x", n, old_target).unwrap();
-                    untouched.write_entries(u, 0, &contents).unwrap();
+                    untouched.handle().write_entries(u, 0, &contents).unwrap();
 
                     let combo = format!("{codec}/{old_target}->{new_target}");
 
                     // (1) Bytes: identical to both references.
                     let mut from_migrated = vec![[9u8; ENTRY_BYTES]; contents.len()];
-                    migrated.read_entries(m, 0, &mut from_migrated).unwrap();
+                    migrated.handle().read_entries(m, 0, &mut from_migrated).unwrap();
                     prop_assert_eq!(&from_migrated, &contents, "{}: bytes", &combo);
                     let mut from_untouched = vec![[0u8; ENTRY_BYTES]; contents.len()];
-                    untouched.read_entries(u, 0, &mut from_untouched).unwrap();
+                    untouched.handle().read_entries(u, 0, &mut from_untouched).unwrap();
                     prop_assert_eq!(&from_migrated, &from_untouched, "{}: vs never-retargeted", &combo);
 
                     // (2) Errors: invalid accesses fail identically.
                     prop_assert_eq!(
-                        migrated.read_entry(m, n),
-                        direct.read_entry(d, n),
+                        get(&migrated, m, n),
+                        get(&direct, d, n),
                         "{}: out-of-range error", &combo
                     );
                     prop_assert_eq!(
-                        migrated.write_entries(m, n, &[contents[0]]),
-                        direct.write_entries(d, n, &[contents[0]]),
+                        migrated.handle().write_entries(m, n, &[contents[0]]),
+                        direct.handle().write_entries(d, n, &[contents[0]]),
                         "{}: out-of-range batch error", &combo
                     );
                     let foreign = foreign_handle();
                     prop_assert_eq!(
-                        migrated.read_entry(foreign, 0),
-                        direct.read_entry(foreign, 0),
+                        get(&migrated, foreign, 0),
+                        get(&direct, foreign, 0),
                         "{}: bad-handle error", &combo
                     );
                     prop_assert_eq!(
@@ -152,9 +155,9 @@ proptest! {
                     migrated.reset_stats();
                     direct.reset_stats();
                     let mut sink = vec![[0u8; ENTRY_BYTES]; contents.len()];
-                    migrated.read_entries(m, 0, &mut sink).unwrap();
+                    migrated.handle().read_entries(m, 0, &mut sink).unwrap();
                     let migrated_reads = migrated.stats();
-                    direct.read_entries(d, 0, &mut sink).unwrap();
+                    direct.handle().read_entries(d, 0, &mut sink).unwrap();
                     prop_assert_eq!(migrated_reads, direct.stats(), "{}: read stats", &combo);
 
                     // (5) State windows agree, so the adaptive policy sees
@@ -186,7 +189,7 @@ proptest! {
 
         let mut migrated = BuddyDevice::with_codec(CONFIG, codec);
         let m = migrated.alloc("walk", n, TargetRatio::R1).unwrap();
-        migrated.write_entries(m, 0, &contents).unwrap();
+        migrated.handle().write_entries(m, 0, &contents).unwrap();
         let mut last = TargetRatio::R1;
         for &step in &walk {
             last = TargetRatio::DESCENDING[step];
@@ -195,10 +198,10 @@ proptest! {
 
         let mut direct = BuddyDevice::with_codec(CONFIG, codec);
         let d = direct.alloc("walk", n, last).unwrap();
-        direct.write_entries(d, 0, &contents).unwrap();
+        direct.handle().write_entries(d, 0, &contents).unwrap();
 
         let mut out = vec![[0u8; ENTRY_BYTES]; contents.len()];
-        migrated.read_entries(m, 0, &mut out).unwrap();
+        migrated.handle().read_entries(m, 0, &mut out).unwrap();
         prop_assert_eq!(&out, &contents);
         prop_assert_eq!(occupancy(&migrated), occupancy(&direct));
         for i in 0..n {
@@ -234,27 +237,27 @@ proptest! {
 
         let mut migrated = BuddyDevice::with_codec(CONFIG, codec);
         let m = migrated.alloc("w", n, old_target).unwrap();
-        migrated.write_entries(m, 0, &initial).unwrap();
+        migrated.handle().write_entries(m, 0, &initial).unwrap();
         migrated.retarget(m, new_target).unwrap();
 
         let mut direct = BuddyDevice::with_codec(CONFIG, codec);
         let d = direct.alloc("w", n, new_target).unwrap();
-        direct.write_entries(d, 0, &initial).unwrap();
+        direct.handle().write_entries(d, 0, &initial).unwrap();
 
         migrated.reset_stats();
         direct.reset_stats();
         for &(index, kind, seed) in &after {
             let entry = entry_of_kind(kind, seed);
             prop_assert_eq!(
-                migrated.write_entry(m, index, &entry),
-                direct.write_entry(d, index, &entry)
+                put(&migrated, m, index, &entry),
+                put(&direct, d, index, &entry)
             );
         }
         prop_assert_eq!(migrated.stats(), direct.stats());
         for i in 0..n {
             prop_assert_eq!(
-                migrated.read_entry(m, i).unwrap(),
-                direct.read_entry(d, i).unwrap(),
+                get(&migrated, m, i).unwrap(),
+                get(&direct, d, i).unwrap(),
                 "entry {} after post-migration writes", i
             );
         }

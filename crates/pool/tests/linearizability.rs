@@ -63,6 +63,15 @@ fn fail(e: &DeviceError) -> Outcome {
     Outcome::Failed(ErrorKind::of(e))
 }
 
+/// Reads one entry as a one-element batch.
+fn read_one(pool: &BuddyPool, id: PoolAllocId, index: u64) -> Outcome {
+    let mut out = [[0u8; ENTRY_BYTES]];
+    match pool.read_entries(id, index, &mut out) {
+        Ok(()) => Outcome::Value(out[0]),
+        Err(e) => fail(&e),
+    }
+}
+
 fn ok_or_fail<T>(r: Result<T, DeviceError>) -> Outcome {
     match r {
         Ok(_) => Outcome::Ok,
@@ -128,15 +137,16 @@ fn run_history(scripts: &[Vec<Step>; THREADS], shards: usize) -> Vec<Operation> 
                         let recorded = match op % 6 {
                             0 => shared_id.map(|id| {
                                 record(clock, Call::Write { name, index, fill }, || {
-                                    ok_or_fail(pool.write_entry(id, index, &[fill; ENTRY_BYTES]))
+                                    ok_or_fail(pool.write_entries(
+                                        id,
+                                        index,
+                                        &[[fill; ENTRY_BYTES]],
+                                    ))
                                 })
                             }),
                             1 => shared_id.map(|id| {
                                 record(clock, Call::Read { name, index }, || {
-                                    match pool.read_entry(id, index) {
-                                        Ok(entry) => Outcome::Value(entry),
-                                        Err(e) => fail(&e),
-                                    }
+                                    read_one(pool, id, index)
                                 })
                             }),
                             2 => shared_id.map(|id| {
@@ -172,10 +182,7 @@ fn run_history(scripts: &[Vec<Step>; THREADS], shards: usize) -> Vec<Operation> 
                             )),
                             _ => own_id.map(|id| {
                                 record(clock, Call::Read { name: own, index }, || {
-                                    match pool.read_entry(id, index) {
-                                        Ok(entry) => Outcome::Value(entry),
-                                        Err(e) => fail(&e),
-                                    }
+                                    read_one(pool, id, index)
                                 })
                             }),
                         };

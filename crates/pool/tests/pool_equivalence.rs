@@ -55,7 +55,7 @@ fn entry_of_kind(kind: u8, seed: u64) -> Entry {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Random operation sequences — batched and single-entry reads and
+    /// Random operation sequences — batched and one-entry reads and
     /// writes, in-range and out-of-range, mid-sequence allocations, plus
     /// interleaved re-target migrations — behave identically on a 1-shard
     /// pool and a bare device, under every codec and target ratio.
@@ -67,6 +67,7 @@ proptest! {
         let codec = CodecKind::ALL[codec_idx as usize];
         let target = TargetRatio::DESCENDING[target_idx as usize];
         let (pool, mut device) = pair(codec);
+        let io = device.handle();
 
         let mut handles = vec![(
             pool.alloc("base", 48, target).unwrap(),
@@ -88,31 +89,38 @@ proptest! {
                         .collect();
                     prop_assert_eq!(
                         pool.write_entries(pool_id, start, &batch),
-                        device.write_entries(dev_id, start, &batch)
+                        io.write_entries(dev_id, start, &batch)
                     );
                 }
                 1 => {
                     let mut from_pool = vec![[0u8; ENTRY_BYTES]; len];
                     let mut from_dev = vec![[1u8; ENTRY_BYTES]; len];
                     let pr = pool.read_entries(pool_id, start, &mut from_pool);
-                    let dr = device.read_entries(dev_id, start, &mut from_dev);
+                    let dr = io.read_entries(dev_id, start, &mut from_dev);
                     prop_assert_eq!(pr.clone(), dr);
                     if pr.is_ok() {
                         prop_assert_eq!(&from_pool, &from_dev, "read bytes must match");
                     }
                 }
                 2 => {
-                    let entry = entry_of_kind(data_seed as u8, data_seed);
+                    let entry = [entry_of_kind(data_seed as u8, data_seed)];
                     prop_assert_eq!(
-                        pool.write_entry(pool_id, start, &entry),
-                        device.write_entry(dev_id, start, &entry)
+                        pool.write_entries(pool_id, start, &entry),
+                        io.write_entries(dev_id, start, &entry)
+                    );
+                    prop_assert_eq!(
+                        pool.entry_state(pool_id, start),
+                        io.entry_state(dev_id, start)
                     );
                 }
                 3 => {
-                    prop_assert_eq!(
-                        pool.read_entry(pool_id, start),
-                        device.read_entry(dev_id, start)
-                    );
+                    let mut from_pool = [[0u8; ENTRY_BYTES]];
+                    let mut from_dev = [[1u8; ENTRY_BYTES]];
+                    let pr = pool.read_entries(pool_id, start, &mut from_pool);
+                    prop_assert_eq!(pr.clone(), io.read_entries(dev_id, start, &mut from_dev));
+                    if pr.is_ok() {
+                        prop_assert_eq!(from_pool, from_dev, "read bytes must match");
+                    }
                 }
                 4 => {
                     let n = 8 + pos % 24;
@@ -158,6 +166,7 @@ proptest! {
 fn same_trace_through_pool_and_device() {
     for codec in CodecKind::ALL {
         let (pool, mut device) = pair(codec);
+        let io = device.handle();
         const ENTRIES: u64 = 512;
         const BATCH: usize = 16;
         let pool_id = pool.alloc("trace", ENTRIES, TargetRatio::R2).unwrap();
@@ -171,12 +180,12 @@ fn same_trace_through_pool_and_device() {
                     .map(|j| entry_of_kind((i + j) as u8, (i * 31 + j) as u64))
                     .collect();
                 pool.write_entries(pool_id, start, &batch).unwrap();
-                device.write_entries(dev_id, start, &batch).unwrap();
+                io.write_entries(dev_id, start, &batch).unwrap();
             } else {
                 let mut from_pool = [[0u8; ENTRY_BYTES]; BATCH];
                 let mut from_dev = [[0u8; ENTRY_BYTES]; BATCH];
                 pool.read_entries(pool_id, start, &mut from_pool).unwrap();
-                device.read_entries(dev_id, start, &mut from_dev).unwrap();
+                io.read_entries(dev_id, start, &mut from_dev).unwrap();
                 assert_eq!(from_pool, from_dev, "{codec}: access {i}");
             }
         }
@@ -188,12 +197,12 @@ fn same_trace_through_pool_and_device() {
         assert_eq!(occupancy[0].effective_ratio, device.effective_ratio());
 
         // Final memory images agree entry for entry.
-        for index in 0..ENTRIES {
-            assert_eq!(
-                pool.read_entry(pool_id, index).unwrap(),
-                device.read_entry(dev_id, index).unwrap(),
-                "{codec}: final image at {index}"
-            );
+        let mut from_pool = vec![[0u8; ENTRY_BYTES]; ENTRIES as usize];
+        let mut from_dev = vec![[1u8; ENTRY_BYTES]; ENTRIES as usize];
+        pool.read_entries(pool_id, 0, &mut from_pool).unwrap();
+        io.read_entries(dev_id, 0, &mut from_dev).unwrap();
+        for (index, (p, d)) in from_pool.iter().zip(&from_dev).enumerate() {
+            assert_eq!(p, d, "{codec}: final image at {index}");
         }
     }
 }
@@ -423,18 +432,20 @@ fn multi_shard_stats_merge_is_lossless() {
     let mut reference = AccessStats::default();
     for c in 0..4u64 {
         let mut device = BuddyDevice::new(SHARD_CONFIG);
+        let io = device.handle();
         let pool_id = pool.alloc(&format!("c{c}"), 128, TargetRatio::R2).unwrap();
         let dev_id = device
             .alloc(&format!("c{c}"), 128, TargetRatio::R2)
             .unwrap();
         for i in 0..64 {
-            let entry = entry_of_kind((c + i) as u8, c * 1000 + i);
-            pool.write_entry(pool_id, i, &entry).unwrap();
-            device.write_entry(dev_id, i, &entry).unwrap();
-            assert_eq!(
-                pool.read_entry(pool_id, i).unwrap(),
-                device.read_entry(dev_id, i).unwrap()
-            );
+            let entry = [entry_of_kind((c + i) as u8, c * 1000 + i)];
+            pool.write_entries(pool_id, i, &entry).unwrap();
+            io.write_entries(dev_id, i, &entry).unwrap();
+            let mut from_pool = [[0u8; ENTRY_BYTES]];
+            let mut from_dev = [[1u8; ENTRY_BYTES]];
+            pool.read_entries(pool_id, i, &mut from_pool).unwrap();
+            io.read_entries(dev_id, i, &mut from_dev).unwrap();
+            assert_eq!(from_pool, from_dev);
         }
         reference.merge(&device.stats());
     }

@@ -359,7 +359,7 @@ impl BuddyService {
         state
             .tenants
             .get(tenant.0 as usize)
-            .map(|t| t.telemetry.stats())
+            .map(|t| t.telemetry.traffic.snapshot())
             .ok_or(ServiceError::UnknownTenant)
     }
 
@@ -584,7 +584,7 @@ impl BuddyService {
         // The pool call runs outside the service lock; a racing free is
         // caught by the pool's generational id.
         let delta = self.pool.write_entries_collect(pool_id, start, entries)?;
-        telemetry.record_stats(&delta);
+        telemetry.traffic.add(&delta);
         Ok(())
     }
 
@@ -610,7 +610,7 @@ impl BuddyService {
             (alloc.pool_id, telemetry)
         };
         let delta = self.pool.read_entries_collect(pool_id, start, out)?;
-        telemetry.record_stats(&delta);
+        telemetry.traffic.add(&delta);
         Ok(())
     }
 
@@ -652,8 +652,13 @@ impl BuddyService {
         let t = &mut state.tenants[tenant.0 as usize];
         t.used_bytes = t.used_bytes.saturating_sub(alloc.device_bytes) + new_bytes;
         t.telemetry.used_bytes.set(t.used_bytes);
-        t.telemetry.retargets.incr();
-        t.telemetry.moved_sectors.add(report.moved_sectors);
+        t.telemetry.traffic.add(&AccessStats {
+            // A same-target retarget is a free no-op the device does not
+            // count as a migration; neither does the tenant.
+            retargets: u64::from(report.old_target != report.new_target),
+            moved_sectors: report.moved_sectors,
+            ..AccessStats::default()
+        });
         Ok(report)
     }
 
@@ -906,10 +911,21 @@ mod tests {
         s.write_entries(a, ga.id, 0, &batch).unwrap();
         s.write_entries(a, ga.id, 16, &batch).unwrap();
         s.write_entries(b, gb.id, 0, &batch).unwrap();
+        let mut out = [[0u8; ENTRY_BYTES]; 8];
+        s.read_entries(a, ga.id, 8, &mut out).unwrap();
+        s.read_entries(b, gb.id, 0, &mut out).unwrap();
+        // One real migration for `a`; a same-target retarget for `b` is a
+        // free no-op that no layer counts.
+        s.retarget(a, ga.id, TargetRatio::R4).unwrap();
+        s.retarget(b, gb.id, TargetRatio::R2).unwrap();
         let sa = s.tenant_stats(a).unwrap();
         let sb = s.tenant_stats(b).unwrap();
-        assert_eq!(sa.total_accesses(), 32);
-        assert_eq!(sb.total_accesses(), 16);
+        assert_eq!(sa.total_accesses(), 40);
+        assert_eq!(sb.total_accesses(), 24);
+        assert_eq!(sa.retargets, 1);
+        assert!(sa.moved_sectors > 0);
+        assert_eq!(sb.retargets, 0);
+        assert_eq!(sb.moved_sectors, 0);
         // Attribution is exhaustive: tenant stats sum to the pool's.
         let mut merged = AccessStats::default();
         merged.merge(&sa);

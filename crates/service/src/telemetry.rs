@@ -1,5 +1,6 @@
-//! Per-tenant telemetry: [`Counter`] / [`Gauge`] handles behind a registry
-//! with a consistent-enough `snapshot()` → rows API.
+//! Per-tenant telemetry: [`Counter`] / [`Gauge`] handles and one
+//! [`SharedStats`] traffic accumulator behind a registry with a
+//! consistent-enough `snapshot()` → rows API.
 //!
 //! The metric primitives themselves live in [`buddy_obs::metrics`] — the
 //! **only** crate allowed to own raw atomics for metrics (enforced by the
@@ -21,7 +22,7 @@
 pub use buddy_obs::{Counter, Gauge};
 
 use buddy_core::sync::{Mutex, MutexGuard};
-use buddy_core::AccessStats;
+use buddy_core::{AccessStats, SharedStats};
 use std::sync::Arc;
 
 /// The full metric surface of one tenant. All fields are updated lock-free
@@ -41,22 +42,9 @@ pub struct TenantTelemetry {
     /// Operations denied because the handle belongs to another tenant.
     pub cross_tenant_denials: Counter,
 
-    /// Mirror of [`AccessStats::reads_device_only`].
-    pub reads_device_only: Counter,
-    /// Mirror of [`AccessStats::reads_with_buddy`].
-    pub reads_with_buddy: Counter,
-    /// Mirror of [`AccessStats::writes_device_only`].
-    pub writes_device_only: Counter,
-    /// Mirror of [`AccessStats::writes_with_buddy`].
-    pub writes_with_buddy: Counter,
-    /// Mirror of [`AccessStats::device_sectors`].
-    pub device_sectors: Counter,
-    /// Mirror of [`AccessStats::buddy_sectors`].
-    pub buddy_sectors: Counter,
-    /// Mirror of [`AccessStats::retargets`].
-    pub retargets: Counter,
-    /// Mirror of [`AccessStats::moved_sectors`].
-    pub moved_sectors: Counter,
+    /// Traffic attributed to the tenant: the per-batch deltas of its
+    /// entry I/O plus its real retarget migrations.
+    pub traffic: SharedStats,
 
     /// Compressed device bytes currently charged against the quota.
     pub used_bytes: Gauge,
@@ -66,35 +54,6 @@ pub struct TenantTelemetry {
     pub logical_bytes: Gauge,
     /// Live allocations.
     pub allocations: Gauge,
-}
-
-impl TenantTelemetry {
-    /// Folds a per-batch [`AccessStats`] delta (from the pool's
-    /// `*_collect` paths) into the mirror counters.
-    pub fn record_stats(&self, delta: &AccessStats) {
-        self.reads_device_only.add(delta.reads_device_only);
-        self.reads_with_buddy.add(delta.reads_with_buddy);
-        self.writes_device_only.add(delta.writes_device_only);
-        self.writes_with_buddy.add(delta.writes_with_buddy);
-        self.device_sectors.add(delta.device_sectors);
-        self.buddy_sectors.add(delta.buddy_sectors);
-        self.retargets.add(delta.retargets);
-        self.moved_sectors.add(delta.moved_sectors);
-    }
-
-    /// The mirror counters as an [`AccessStats`] value.
-    pub fn stats(&self) -> AccessStats {
-        AccessStats {
-            reads_device_only: self.reads_device_only.get(),
-            reads_with_buddy: self.reads_with_buddy.get(),
-            writes_device_only: self.writes_device_only.get(),
-            writes_with_buddy: self.writes_with_buddy.get(),
-            device_sectors: self.device_sectors.get(),
-            buddy_sectors: self.buddy_sectors.get(),
-            retargets: self.retargets.get(),
-            moved_sectors: self.moved_sectors.get(),
-        }
-    }
 }
 
 /// One row of a telemetry snapshot: everything the `service-report` bin
@@ -199,7 +158,7 @@ impl TelemetryRegistry {
                     quota_headroom: quota.saturating_sub(used),
                     logical_bytes: t.logical_bytes.get(),
                     allocations: t.allocations.get(),
-                    stats: t.stats(),
+                    stats: t.traffic.snapshot(),
                 }
             })
             .collect()
@@ -221,27 +180,6 @@ mod tests {
         assert_eq!(g.get(), 7);
         g.set(3);
         assert_eq!(g.get(), 3);
-    }
-
-    #[test]
-    fn record_stats_round_trips() {
-        let t = TenantTelemetry::default();
-        let delta = AccessStats {
-            reads_device_only: 1,
-            reads_with_buddy: 2,
-            writes_device_only: 3,
-            writes_with_buddy: 4,
-            device_sectors: 5,
-            buddy_sectors: 6,
-            retargets: 7,
-            moved_sectors: 8,
-        };
-        t.record_stats(&delta);
-        t.record_stats(&delta);
-        let mut twice = AccessStats::default();
-        twice.merge(&delta);
-        twice.merge(&delta);
-        assert_eq!(t.stats(), twice);
     }
 
     #[test]

@@ -308,8 +308,8 @@ fn check_nested_lock(file: &SourceFile, out: &mut Vec<RawFinding>) {
 }
 
 /// Signatures of the pool's lock-free read path. The trailing `(` is part
-/// of the needle, so `fn read_entries_collect(` does *not* match the
-/// explicitly-locked baseline `fn read_entries_collect_locked(`.
+/// of the needle, so `fn read_entries_collect(` does *not* match a longer
+/// name such as `fn read_entries_collect_locked(`.
 const READ_PATH_FNS: [&str; 5] = [
     "fn read_entry(",
     "fn read_entries(",
@@ -330,8 +330,8 @@ fn check_read_path_lock(file: &SourceFile, out: &mut Vec<RawFinding>) {
     // via `handle_of`, never through the shard mutex. A future refactor
     // that quietly reintroduces a guard would still pass every functional
     // test — only the scaling collapses — so the invariant is pinned here.
-    // The explicitly-locked baseline keeps its own `_locked` name and is
-    // out of scope by construction.
+    // The pool has one read path; a lock that genuinely cannot serialize
+    // readers must carry a waiver saying why.
     let mut depth: i64 = 0;
     // Some((floor, opened)): inside a read-path fn; the body is every line
     // until depth returns to `floor` after having exceeded it.
@@ -351,9 +351,9 @@ fn check_read_path_lock(file: &SourceFile, out: &mut Vec<RawFinding>) {
                         line: idx + 1,
                         message: format!(
                             "`{token}` on the pool read path — reads must resolve through the \
-                             epoch-published snapshot (`handle_of`), never a shard guard; use \
-                             an explicitly `_locked`-suffixed baseline or waive with why this \
-                             lock cannot serialize readers"
+                             epoch-published snapshot (`handle_of`), never a shard guard; the \
+                             pool has one read path, so remove the lock or waive with why it \
+                             cannot serialize readers"
                         ),
                     });
                 }
@@ -697,8 +697,8 @@ mod tests {
         // The snapshot path is the required shape and is clean.
         let snapshot = "fn read_entries(&self) -> u64 {\n    self.handle_of(id)?.read()\n}";
         assert!(run("read-path-lock", snapshot).is_empty());
-        // The explicitly-locked baseline keeps its `_locked` name and is
-        // out of scope: the trailing `(` in the needle refuses the match.
+        // A longer name is out of scope: the trailing `(` in the needle
+        // refuses the match.
         let locked_baseline =
             "fn read_entries_collect_locked(&self) -> u64 {\n    self.guard_of(id)?.read()\n}";
         assert!(run("read-path-lock", locked_baseline).is_empty());

@@ -18,6 +18,7 @@ fn main() {
         device_capacity: 1 << 20,
         carve_out_factor: 3,
     });
+    let io = dev.handle();
 
     // Profiling saw highly compressible early-run data: 4x it is.
     let alloc = dev
@@ -25,7 +26,7 @@ fn main() {
         .expect("device sized for the allocation");
     let ramp = EntryClass::for_target(SizeClass::B8);
     let early: Vec<_> = (0..ENTRIES).map(|i| ramp.generate(mix(&[1, i]))).collect();
-    dev.write_entries(alloc, 0, &early).expect("in-range write");
+    io.write_entries(alloc, 0, &early).expect("in-range write");
     println!(
         "allocated {ENTRIES} entries at 4x; early data overflows {:.1}% of entries",
         100.0
@@ -46,7 +47,7 @@ fn main() {
             }
         })
         .collect();
-    dev.write_entries(alloc, 0, &late).expect("in-range write");
+    io.write_entries(alloc, 0, &late).expect("in-range write");
 
     // The policy reads the live 4-bit metadata — no profiling rerun — and
     // recommends a demotion.
@@ -73,7 +74,7 @@ fn main() {
     // Migration is invisible to readers: every byte survives.
     dev.reset_stats();
     let mut out = vec![[0u8; 128]; ENTRIES as usize];
-    dev.read_entries(alloc, 0, &mut out).expect("in-range read");
+    io.read_entries(alloc, 0, &mut out).expect("in-range read");
     let intact = out.iter().zip(late.iter()).filter(|(a, b)| a == b).count();
     println!("read-back verified: {intact}/{ENTRIES} entries byte-identical");
     println!(

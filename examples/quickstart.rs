@@ -59,15 +59,18 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("profiler chose:\n{outcome}");
 
     // --- 4. Allocate and run against the functional device. ---
+    // The device owns structural operations; entry I/O goes through its
+    // lock-free handle.
     let mut device = BuddyDevice::new(DeviceConfig {
         device_capacity: 1 << 20,
         carve_out_factor: 3,
     });
+    let io = device.handle();
     let target = outcome.choices[0].target;
     let alloc = device.alloc("field", entries, target)?;
-    device.write_entries(alloc, 0, &data)?;
+    io.write_entries(alloc, 0, &data)?;
     let mut readback = vec![[0u8; ENTRY_BYTES]; entries as usize];
-    device.read_entries(alloc, 0, &mut readback)?;
+    io.read_entries(alloc, 0, &mut readback)?;
     assert_eq!(readback, data, "lossless read-back");
 
     let stats = device.stats();

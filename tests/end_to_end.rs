@@ -2,7 +2,7 @@
 //! workload data through BPC, the profiler, the functional device and the
 //! performance simulator.
 
-use buddy_compression::bpc::{BitPlane, BlockCompressor, CodecKind, ENTRY_BYTES};
+use buddy_compression::bpc::{BitPlane, Codec, CodecKind, CompressedBuf, ENTRY_BYTES};
 use buddy_compression::buddy_core::{
     choose_naive, choose_targets, BuddyDevice, DeviceConfig, ProfileConfig, TargetRatio,
 };
@@ -31,15 +31,18 @@ fn profile_allocate_write_read_round_trip() {
         device_capacity: 64 << 20,
         carve_out_factor: 3,
     });
+    let io = device.handle();
     let layout = bench.allocation_layout();
     for ((spec, entries), choice) in layout.iter().zip(outcome.choices.iter()) {
         let n = (*entries).min(256); // subset per allocation keeps this fast
         let alloc = device.alloc(spec.name, n, choice.target).expect("fits");
         let alloc_seed = buddy_compression::workloads::entry_gen::mix(&[3, 0]);
         for i in 0..n {
-            let entry = spec.entry_at(alloc_seed, i, 0.5);
-            device.write_entry(alloc, i, &entry).expect("write");
-            assert_eq!(device.read_entry(alloc, i).expect("read"), entry);
+            let entry = [spec.entry_at(alloc_seed, i, 0.5)];
+            io.write_entries(alloc, i, &entry).expect("write");
+            let mut out = [[0u8; ENTRY_BYTES]];
+            io.read_entries(alloc, i, &mut out).expect("read");
+            assert_eq!(out, entry);
         }
     }
     assert!(device.effective_ratio() > 1.5, "356.sp compresses well");
@@ -73,9 +76,10 @@ fn codec_agnostic_pipeline_round_trips() {
             let alloc_seed = entry_gen::mix(&[3, idx as u64]);
             let data: Vec<[u8; ENTRY_BYTES]> =
                 (0..n).map(|i| spec.entry_at(alloc_seed, i, 0.5)).collect();
-            device.write_entries(alloc, 0, &data).expect("batch write");
+            let io = device.handle();
+            io.write_entries(alloc, 0, &data).expect("batch write");
             let mut out = vec![[0u8; ENTRY_BYTES]; n as usize];
-            device.read_entries(alloc, 0, &mut out).expect("batch read");
+            io.read_entries(alloc, 0, &mut out).expect("batch read");
             assert_eq!(
                 out, data,
                 "{codec}/{}: lossless batched read-back",
@@ -159,11 +163,12 @@ fn profiler_prediction_matches_device_behavior() {
         let n = 512u64;
         let alloc = device.alloc(spec.name, n, choice.target).expect("fits");
         let alloc_seed = buddy_compression::workloads::entry_gen::mix(&[5, idx as u64]);
-        for i in 0..n {
-            device
-                .write_entry(alloc, i, &spec.entry_at(alloc_seed, i, 0.5))
-                .expect("write");
-        }
+        let data: Vec<[u8; ENTRY_BYTES]> =
+            (0..n).map(|i| spec.entry_at(alloc_seed, i, 0.5)).collect();
+        device
+            .handle()
+            .write_entries(alloc, 0, &data)
+            .expect("write");
         predicted += n as f64 * choice.overflow_frac;
         total += n as f64;
     }
@@ -208,7 +213,13 @@ fn suite_compression_matches_paper_shape() {
     let bench = test_bench("351.palm");
     let spec = &bench.allocations[0];
     let entry = spec.entry_at(1, 0, 0.5);
-    assert_eq!(codec.decompress(&codec.compress(&entry)).unwrap(), entry);
+    let mut buf = CompressedBuf::new();
+    codec.compress_into(&entry, &mut buf);
+    let mut restored = [0u8; ENTRY_BYTES];
+    codec
+        .decompress_into(buf.data(), buf.bits(), &mut restored)
+        .unwrap();
+    assert_eq!(restored, entry);
 }
 
 /// Final-design targets dominate the naive single-target policy on the
